@@ -56,6 +56,10 @@ class SearchSpaceError(ValueError):
     pass
 
 
+class ReferenceFormatError(ValueError):
+    """Reference-value CSV text that does not parse."""
+
+
 @dataclass(frozen=True)
 class BoundRecord:
     profile: WeightProfile
@@ -415,23 +419,16 @@ class ReferenceStore:
     def from_csv(cls, text: str) -> "ReferenceStore":
         rows = []
         lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-        header = lines[0].strip()
+        header = lines[0].strip() if lines else ""
         if header != "kind,q,n,d,w,lower,upper,source":
-            raise ValueError(f"unexpected reference header {header!r}")
+            raise ReferenceFormatError(f"unexpected reference header {header!r}")
         for ln in lines[1:]:
-            kind, q, n, d, w, lower, upper, source = (x.strip() for x in ln.split(","))
-            rows.append(
-                ReferenceValue(
-                    kind,
-                    int(q),
-                    int(n),
-                    int(d),
-                    int(w) if w else None,
-                    int(lower) if lower else None,
-                    int(upper) if upper else None,
-                    source,
-                )
-            )
+            try:
+                kind, q, n, d, w, lower, upper, source = (x.strip() for x in ln.split(","))
+                optional = (int(x) if x else None for x in (w, lower, upper))
+                rows.append(ReferenceValue(kind, int(q), int(n), int(d), *optional, source))
+            except ValueError as exc:
+                raise ReferenceFormatError(f"bad reference row {ln!r}") from exc
         return cls(rows)
 
 
@@ -587,16 +584,15 @@ def evaluate_cell(
     vertex_cap: int = TABLE_VERTEX_CAP,
     size_cap: int = CONSTRUCTION_SIZE_CAP,
 ) -> None:
-    """Apply every bound rule and construction to one cell, inserting records."""
+    """Apply the bound rules and constructions that can decide one cell, inserting records."""
     cell_profile_count = comb(n, w) ** m
 
-    # Upper bounds first (they include the exact power rule).
-    table.insert(johnson_homogeneous(m, n, d, w))
+    # Upper bounds first (they include the exact power rule).  johnson_general is
+    # never above johnson_homogeneous, singleton_like or johnson_closed_form.
     table.insert(johnson_general(WeightProfile.homogeneous(m, n, w), d))
-    for rule in (singleton_like, johnson_closed_form, tightness_exact):
-        rec = rule(m, n, d, w)
-        if rec is not None:
-            table.insert(rec)
+    power_exact = tightness_exact(m, n, d, w)
+    if power_exact is not None:
+        table.insert(power_exact)
     triv = trivial_upper(m, n, d, w, table)
     if triv.value != INF:
         table.insert(triv)
@@ -609,7 +605,8 @@ def evaluate_cell(
         table.insert(
             _record(m, n, d, w, "lower", cell_profile_count, "all profile words")
         )
-    if w >= 1 and n % w == 0:
+    if power_exact is None and w >= 1 and n % w == 0:
+        # A power-exact record already carries an RS witness of the same size.
         q = n // w
         s = m * w - d_eff // 2 + 1
         if s >= 1 and q**s <= 64 * size_cap:  # keep exhaustive verification cheap

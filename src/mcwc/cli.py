@@ -24,6 +24,7 @@ from .bounds import (
     TABLE_VERTEX_CAP,
     BoundTable,
     ConsistencyError,
+    ReferenceFormatError,
     ReferenceStore,
     SearchSpaceError,
     evaluate_cell,
@@ -67,7 +68,15 @@ from .pufsim import (
     reliability_sweep,
 )
 
+
+class UsageError(ValueError):
+    """A command-line value that parses but cannot be used."""
+
+
 USAGE_ERRORS = (
+    UsageError,
+    OSError,  # every path the CLI opens is named on its command line
+    ReferenceFormatError,
     CodeError,
     ConstructionError,
     DesignError,
@@ -268,10 +277,13 @@ def _cmd_bound(args) -> int:
 
 
 def _parse_range(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in spec.split(",")]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(x) for x in spec.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"bad range {spec!r}: use LO..HI or a comma list") from exc
 
 
 def _cmd_table(args) -> int:
@@ -298,6 +310,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_curves(args) -> int:
     names = args.curves.split(",") if args.curves else None
+    if not args.grid_step > 0:
+        raise UsageError(f"--grid-step must be positive, got {args.grid_step}")
     steps = int(round((args.grid_end - args.grid_start) / args.grid_step))
     grid = [args.grid_start + i * args.grid_step for i in range(steps + 1)]
     grid = [t for t in grid if t <= args.grid_end + 1e-12]
@@ -363,51 +377,48 @@ def build_parser() -> argparse.ArgumentParser:
         "for multiply constant-weight codes.",
     )
     parser.add_argument("--version", action="version", version=f"mcwc {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="output file (default: stdout)")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--budget", type=int, help="search node budget")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; results are schedule-independent")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file (default: stdout)")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, help="search node budget")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", parents=[common], help="build and verify a code")
+    p = sub.add_parser("construct", help="build and verify a code")
     ps = p.add_subparsers(dest="method", required=True)
-    c = ps.add_parser("concat", parents=[common])
+    c = ps.add_parser("concat", parents=[out])
     c.add_argument("--outer", required=True, help="q-ary outer code file")
     c.add_argument("--inner", required=True, help=f"inner code: file or builtin:<{'|'.join(builtin_names())}>")
-    c = ps.add_parser("pseudo-product", parents=[common])
+    c = ps.add_parser("pseudo-product", parents=[out])
     c.add_argument("--cwc", required=True, help="systematic constant-weight ingredient")
     c.add_argument("--sys", required=True, help="systematic binary ingredient")
-    c = ps.add_parser("complement", parents=[common])
+    c = ps.add_parser("complement", parents=[out])
     c.add_argument("--code", required=True, help="systematic binary ingredient")
-    c = ps.add_parser("append", parents=[common])
+    c = ps.add_parser("append", parents=[out])
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--cwc", required=True)
-    c = ps.add_parser("qary-expand", parents=[common])
+    c = ps.add_parser("qary-expand", parents=[out])
     c.add_argument("--code", required=True, help="q-ary code file")
     c.add_argument("--w", type=int, required=True, help="block weight")
-    c = ps.add_parser("rs", parents=[common])
+    c = ps.add_parser("rs", parents=[out])
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--len", type=int, required=True)
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--expand", action="store_true", help="also apply q-ary expansion")
     c.add_argument("--w", type=int, default=1)
-    c = ps.add_parser("design", parents=[common])
+    c = ps.add_parser("design", parents=[out])
     c.add_argument("--family", choices=["affine", "one-factor"])
     c.add_argument("--q", type=int, help="affine plane order")
     c.add_argument("--v", type=int, help="one-factorization point count")
     c.add_argument("--file", help="load an externally found design")
-    for name, action in ps.choices.items():
-        action.set_defaults(func=_cmd_construct)
+    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("verify", parents=[common], help="verify a code file")
+    p = sub.add_parser("verify", help="verify a code file")
     p.add_argument("file")
     p.add_argument("--d", type=int, help="override the claimed distance")
     p.add_argument("--profile", help="override the profile, e.g. 4:2,4:2")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("design", parents=[common], help="generate or verify designs")
+    p = sub.add_parser("design", parents=[out], help="generate or verify designs")
     p.add_argument("action", choices=["make", "verify"])
     p.add_argument("file", nargs="?", help="design file (for verify)")
     p.add_argument("--family", choices=["affine", "one-factor"])
@@ -417,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accept a partial resolution (t-subsets covered at most once)")
     p.set_defaults(func=_cmd_design)
 
-    p = sub.add_parser("bound", parents=[common], help="bounds for one cell")
+    p = sub.add_parser("bound", parents=[budget], help="bounds for one cell")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -427,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refs", help="reference-value CSV to ingest")
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("table", parents=[common], help="tabulate bounds over ranges")
+    p = sub.add_parser("table", parents=[out, budget], help="tabulate bounds over ranges")
     p.add_argument("--m", required=True, help="range, e.g. 1..3 or 2")
     p.add_argument("--n", required=True)
     p.add_argument("--w", required=True)
@@ -436,20 +447,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refs")
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("curves", parents=[common], help="asymptotic rate curves")
+    p = sub.add_parser("curves", parents=[out], help="asymptotic rate curves")
     p.add_argument("--grid-start", type=float, default=0.001)
     p.add_argument("--grid-end", type=float, default=0.499)
     p.add_argument("--grid-step", type=float, default=0.001)
     p.add_argument("--curves", help=f"comma list from: {','.join(curve_names())}")
     p.set_defaults(func=_cmd_curves)
 
-    p = sub.add_parser("puf-sim", parents=[common], help="loop-PUF reliability simulation")
+    p = sub.add_parser("puf-sim", parents=[out], help="loop-PUF reliability simulation")
     p.add_argument("--code", required=True, help="verified MCWC file")
     p.add_argument("--m", type=int, help="expected device rows (checked against the code)")
     p.add_argument("--n", type=int, help="expected device columns (checked against the code)")
     p.add_argument("--s-eps", type=float, default=1e-3, help="element offset scale")
     p.add_argument("--noise", type=float, default=1e-3, help="measurement noise scale")
     p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--mu0", type=float, default=1.0)
     p.add_argument("--mu1", type=float, default=1.05)
     p.add_argument("--save-device")

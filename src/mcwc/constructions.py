@@ -239,19 +239,18 @@ def reed_solomon(field: Field, length: int, d: int) -> QaryCode:
         raise ConstructionError(f"length {length} exceeds q+1 = {q + 1}")
     k = length - d + 1
     extended = length == q + 1
-    points = [field.element(i) for i in range(min(length, q))]
+    points = range(min(length, q))
 
     words = []
-    for msg_idx in product(range(q), repeat=k):
-        coeffs = [field.element(i) for i in msg_idx]  # little-endian polynomial
+    for coeffs in product(range(q), repeat=k):  # little-endian polynomial
         symbols = []
         for x in points:
-            acc = field.zero()
+            acc = 0
             for c in reversed(coeffs):  # Horner
                 acc = field.add(field.mul(acc, x), c)
-            symbols.append(field.index(acc))
+            symbols.append(acc)
         if extended:
-            symbols.append(field.index(coeffs[-1]))
+            symbols.append(coeffs[-1])
         words.append(tuple(symbols))
 
     code = QaryCode.from_words(words, q, length, d)

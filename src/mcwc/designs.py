@@ -94,22 +94,19 @@ def verify_design(design: ResolvableDesign, *, require_complete: bool = True) ->
 def affine_plane(q: int) -> ResolvableDesign:
     """The affine plane of prime-power order q: a resolvable 2-(q^2, q, 1) design.
 
-    Points are pairs over GF(q); there is one parallel class of lines per slope
-    plus the vertical class, q+1 classes in total.
+    Points are pairs (x, y) over GF(q), numbered x*q + y; there is one parallel
+    class of lines per slope plus the vertical class, q+1 classes in total.
     """
     field = field_for_order(q)
-    elements = field.elements()
-
-    def point(x, y):
-        return field.index(x) * q + field.index(y)
+    elements = range(q)
 
     classes = []
     for a in elements:  # lines y = a*x + b, one class per slope a
         cls = []
         for b in elements:
-            cls.append([point(x, field.add(field.mul(a, x), b)) for x in elements])
+            cls.append([x * q + field.add(field.mul(a, x), b) for x in elements])
         classes.append(cls)
-    classes.append([[point(c, y) for y in elements] for c in elements])  # vertical lines
+    classes.append([[c * q + y for y in elements] for c in elements])  # vertical lines
 
     design = ResolvableDesign(q * q, q, 2, canonical_classes(classes))
     verify_design(design)

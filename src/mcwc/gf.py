@@ -1,19 +1,17 @@
 """Finite-field arithmetic over GF(p^k) at desk scale.
 
-Elements are length-k coefficient tuples over GF(p), little-endian in the
-root of the modulus polynomial.  Fields are constructed with the
+Elements are the ints 0..q-1, whose base-p digits are the coefficients of a
+polynomial in the root of the modulus.  Fields are constructed with the
 lexicographically smallest monic irreducible modulus, so every run of the
 toolkit agrees on element order and on Reed-Solomon evaluation points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 DEFAULT_ORDER_CAP = 4096
-
-Element = tuple[int, ...]
 
 
 class FieldError(ValueError):
@@ -50,35 +48,24 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 # ---------- polynomial helpers over GF(p), little-endian coefficient tuples ----------
 
-def _poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(tuple(out))
+    return tuple(out)
 
 
 def _poly_mod(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder of a modulo b; b must be monic."""
+    """Remainder of a modulo b, untrimmed; b must be monic."""
     r = list(a)
     db = len(b) - 1
-    while len(_poly_trim(tuple(r))) - 1 >= db:
-        r = list(_poly_trim(tuple(r)))
-        shift = len(r) - 1 - db
-        lead = r[-1]
+    for top in range(len(r) - 1, db - 1, -1):  # cancel r[top] x^top
+        lead = r[top]
         for j, bj in enumerate(b):
-            r[shift + j] = (r[shift + j] - lead * bj) % p
-    return _poly_trim(tuple(r))
+            r[top - db + j] = (r[top - db + j] - lead * bj) % p
+    return tuple(r[:db])
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
@@ -87,7 +74,7 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     for d in range(1, deg // 2 + 1):
         for idx in range(p**d):
             div = _digits(idx, p, d) + (1,)
-            if not _poly_mod(poly, div, p):
+            if not any(_poly_mod(poly, div, p)):
                 return False
     return True
 
@@ -102,72 +89,75 @@ def _digits(idx: int, p: int, k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Field:
-    """GF(p^k) with a fixed monic irreducible modulus of degree k."""
+    """GF(p^k) with a fixed monic irreducible modulus of degree k.
+
+    Arithmetic on the ints 0..q-1 is table lookup over the smallest primitive
+    element g (Zech logarithms): exp[i] = g^i for i < 2(q-1), so a sum of two
+    logs needs no reduction; log[g^i] = i and log[0] = -1; zech[i] = log[1 + g^i].
+    """
 
     p: int
     k: int
     modulus: tuple[int, ...]  # length k+1, little-endian, monic
+    exp: tuple[int, ...] = field(compare=False, repr=False)
+    log: tuple[int, ...] = field(compare=False, repr=False)
+    zech: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def q(self) -> int:
         return self.p**self.k
 
-    # Canonical element order: element(i) has coefficient vector equal to the
-    # base-p digits of i; element(0) = 0, element(1) = 1.
-    def element(self, index: int) -> Element:
-        if not 0 <= index < self.q:
-            raise FieldError(f"element index {index} out of range for GF({self.q})")
-        return _digits(index, self.p, self.k)
+    def _check(self, a: int, b: int = 0) -> None:
+        q = len(self.log)
+        if not (type(a) is type(b) is int and 0 <= a < q and 0 <= b < q):
+            bad = b if type(a) is int and 0 <= a < q else a
+            raise FieldError(f"{bad!r} is not an element of GF({self.p}^{self.k})")
 
-    def index(self, a: Element) -> int:
+    def add(self, a: int, b: int) -> int:
+        self._check(a, b)
+        if a == 0 or b == 0:
+            return a + b
+        # a + b = g^la (1 + g^(lb-la)); a negative index wraps modulo q-1.
+        la = self.log[a]
+        z = self.zech[self.log[b] - la]
+        return 0 if z < 0 else self.exp[la + z]
+
+    def mul(self, a: int, b: int) -> int:
+        self._check(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self.exp[self.log[a] + self.log[b]]
+
+    def inv(self, a: int) -> int:
         self._check(a)
-        return sum(c * self.p**i for i, c in enumerate(a))
-
-    def elements(self) -> list[Element]:
-        return [self.element(i) for i in range(self.q)]
-
-    def zero(self) -> Element:
-        return (0,) * self.k
-
-    def one(self) -> Element:
-        return (1,) + (0,) * (self.k - 1)
-
-    def _check(self, a: Element) -> None:
-        if len(a) != self.k or any(not 0 <= c < self.p for c in a):
-            raise FieldError(f"{a!r} is not an element of GF({self.p}^{self.k})")
-
-    def add(self, a: Element, b: Element) -> Element:
-        self._check(a), self._check(b)
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a: Element) -> Element:
-        self._check(a)
-        return tuple((-x) % self.p for x in a)
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: Element, b: Element) -> Element:
-        self._check(a), self._check(b)
-        prod = _poly_mod(_poly_mul(a, b, self.p), self.modulus, self.p)
-        return prod + (0,) * (self.k - len(prod))
-
-    def pow(self, a: Element, e: int) -> Element:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out, base = self.one(), a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def inv(self, a: Element) -> Element:
-        self._check(a)
-        if a == self.zero():
+        if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.pow(a, self.q - 2)
+        return self.exp[-self.log[a]]  # g^(2(q-1) - log a)
+
+
+def _log_tables(p: int, k: int, modulus: tuple[int, ...]):
+    """(exp, log, zech) over the smallest primitive element of GF(p^k)."""
+    q = p**k
+
+    def mul(a: int, b: int) -> int:
+        prod = _poly_mod(_poly_mul(_digits(a, p, k), _digits(b, p, k), p), modulus, p)
+        return sum(c * p**i for i, c in enumerate(prod))
+
+    for g in range(1, q):
+        powers = [1]
+        x = g
+        while x != 1:
+            powers.append(x)
+            x = mul(x, g)
+        if len(powers) == q - 1:
+            break
+    log = [-1] * q
+    for i, x in enumerate(powers):
+        log[x] = i
+    # Adding one changes only the constant coefficient, the lowest base-p digit.
+    one_plus = [x - x % p + (x + 1) % p for x in powers]
+    zech = tuple(log[y] for y in one_plus)
+    return tuple(powers + powers), tuple(log), zech
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +176,7 @@ def field_make(p: int, k: int, order_cap: int = DEFAULT_ORDER_CAP) -> Field:
     for idx in range(p**k):
         poly = _digits(idx, p, k) + (1,)
         if _is_irreducible(poly, p):
-            return Field(p, k, poly)
+            return Field(p, k, poly, *_log_tables(p, k, poly))
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 

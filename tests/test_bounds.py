@@ -165,6 +165,20 @@ def test_closed_form_is_a_valid_upper_bound():
     assert johnson_closed_form(1, 6, 4, 3).value == 4
 
 
+def test_johnson_general_never_above_other_upper_rules():
+    # evaluate_cell inserts only johnson_general among these rules; this keeps
+    # its table values equal to the minimum over all four.
+    for m in range(1, 4):
+        for n in range(1, 11):
+            for w in range(1, n + 1):
+                for d in range(2, m * n + 1, 2):
+                    general = johnson_general(WeightProfile.homogeneous(m, n, w), d).value
+                    for rule in (johnson_homogeneous, singleton_like, johnson_closed_form):
+                        rec = rule(m, n, d, w)
+                        if rec is not None:
+                            assert general <= rec.value, (m, n, d, w, rec.provenance)
+
+
 # ---------- exactness ----------
 
 def test_tightness_examples():

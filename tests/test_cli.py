@@ -256,3 +256,50 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--m", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--threads", "2", "f"],
+        ["construct", "--out", "f", "rs", "--q", "3", "--len", "2", "--d", "2"],
+        ["bound", "--m", "1", "--n", "4", "--d", "2", "--w", "2", "--seed", "1"],
+        ["curves", "--budget", "5"],
+    ],
+)
+def test_options_only_where_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+BAD_REFS = {
+    "header": "bad,header\n",
+    "empty": "",
+    "row": "kind,q,n,d,w,lower,upper,source\nA,2,x,4,2,2,2,src\n",
+    "comma in source": "kind,q,n,d,w,lower,upper,source\nA,2,5,4,2,2,2,a,b\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--m", "1..", "--n", "2", "--w", "1"],
+        ["table", "--m", "1", "--n", "two", "--w", "1"],
+        ["verify", "{tmp}/missing.txt"],
+        ["puf-sim", "--code", "{tmp}/missing.txt"],
+        ["curves", "--grid-step", "0"],
+        ["curves", "--grid-step", "-0.1"],
+    ]
+    + [
+        ["bound", "--m", "1", "--n", "4", "--d", "2", "--w", "2", "--refs", f"{{tmp}}/{name}.csv"]
+        for name in BAD_REFS
+    ],
+)
+def test_bad_input_exit_2(argv, tmp_path, capsys):
+    for name, text in BAD_REFS.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    status, _, err = run([a.format(tmp=tmp_path) for a in argv], capsys)
+    assert status == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
