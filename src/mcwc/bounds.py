@@ -26,6 +26,7 @@ from . import designs as designs_mod
 from .clique import max_clique
 from .codes import BinaryCode, WeightProfile
 from .constructions import (
+    CONSTRUCTION_SIZE_CAP,
     ConstructionError,
     concatenate,
     pseudo_product,
@@ -45,7 +46,8 @@ DEFAULT_VERTEX_CAP = 5000
 # lower bounds, never to wrong answers.
 TABLE_NODE_BUDGET = 200_000
 TABLE_VERTEX_CAP = 4000
-CONSTRUCTION_SIZE_CAP = 512
+# Largest Reed-Solomon witness (q^s words) built and verified pairwise.
+RS_WITNESS_CAP = 64 * CONSTRUCTION_SIZE_CAP
 
 
 class ConsistencyError(RuntimeError):
@@ -57,7 +59,7 @@ class SearchSpaceError(ValueError):
 
 
 class ReferenceFormatError(ValueError):
-    """Reference-value CSV text that does not parse."""
+    """Reference-value CSV text that does not parse, or rows that contradict each other."""
 
 
 @dataclass(frozen=True)
@@ -224,14 +226,15 @@ def tightness_exact(m: int, n: int, d: int, w: int) -> BoundRecord | None:
 
     Conditions: s = m*w - d/2 + 1 in [1, m], w | n, and q = n/w a prime power
     with q >= m*w - 1.  The achieving code is actually built and verified; a
-    size mismatch would be an internal bug.
+    size mismatch would be an internal bug.  None when q^s exceeds
+    RS_WITNESS_CAP, since the witness would be too large to verify pairwise.
     """
     d_eff, note = _lift(d)
     if w < 1 or n % w:
         return None
     s = m * w - d_eff // 2 + 1
     q = n // w
-    if not 1 <= s <= m or q < m * w - 1 or prime_power(q) is None:
+    if not 1 <= s <= m or q < m * w - 1 or prime_power(q) is None or q**s > RS_WITNESS_CAP:
         return None
     witness = rs_mcwc(m, n, d_eff, w)
     if witness.size != q**s:
@@ -280,7 +283,6 @@ def exact_search(
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
-    symmetry: bool = True,
     with_witness: bool = False,
 ):
     """Exact M(m,n,d,w) by maximum-clique search over all profile words.
@@ -289,8 +291,8 @@ def exact_search(
     distance >= d.  Complete searches produce an exact record; budget-exhausted
     searches degrade to a lower bound.  The compatibility graph is vertex
     transitive (blocks and columns within blocks can be permuted), so the
-    search may fix the lexicographically smallest matrix as a clique member
-    and recurse on its neighborhood.
+    search fixes the lexicographically smallest matrix as a clique member and
+    recurses on its neighborhood.
     """
     if not 0 <= w <= n or m < 1:
         raise SearchSpaceError(f"no words for cell ({m},{n},{d},{w})")
@@ -313,19 +315,11 @@ def exact_search(
     if d_eff > 2 * m * min(w, n - w):
         return finish("exact", 1, "distance exceeds diameter", vertices[:1])
 
-    if symmetry:
-        base = vertices[0]
-        members = [v for v in range(1, total) if (base ^ vertices[v]).bit_count() >= d_eff]
-        offset = [base] + [vertices[v] for v in members]
-        adj = _adjacency([vertices[v] for v in members], d_eff)
-        result = max_clique(adj, node_budget)
-        value = 1 + result.size
-        witness = [base] + [offset[i + 1] for i in result.members]
-    else:
-        adj = _adjacency(vertices, d_eff)
-        result = max_clique(adj, node_budget)
-        value = result.size
-        witness = [vertices[i] for i in result.members]
+    base = vertices[0]
+    neighbours = [v for v in vertices[1:] if (base ^ v).bit_count() >= d_eff]
+    result = max_clique(_adjacency(neighbours, d_eff), node_budget)
+    value = 1 + result.size
+    witness = [base] + [neighbours[i] for i in result.members]
 
     if result.complete:
         return finish("exact", value, f"complete, nodes={result.nodes}", witness)
@@ -397,7 +391,7 @@ class ReferenceStore:
             lower = max(lowers) if lowers else None
             upper = min(uppers) if uppers else None
             if lower is not None and upper is not None and lower > upper:
-                raise ConsistencyError(
+                raise ReferenceFormatError(
                     f"reference rows conflict on {key}: {old.source} vs {row.source}"
                 )
             row = ReferenceValue(
@@ -533,15 +527,13 @@ def _design_candidates(m: int, n: int, w: int) -> tuple[tuple[int, int, str], ..
 
 
 @lru_cache(maxsize=None)
-def _pseudo_product_candidates(
-    m: int, n: int, w: int, size_cap: int = CONSTRUCTION_SIZE_CAP
-) -> tuple[tuple[int, int, str], ...]:
+def _pseudo_product_candidates(m: int, n: int, w: int) -> tuple[tuple[int, int, str], ...]:
     out = []
-    for cwc in systematic_cwc_pool(n, w, size_cap=size_cap):
+    for cwc in systematic_cwc_pool(n, w):
         k1 = len(cwc.words).bit_length() - 1
         for sysc in systematic_binary_pool(m):
             k2 = len(sysc.words).bit_length() - 1
-            if k1 * k2 <= 0 or (1 << (k1 * k2)) > size_cap:
+            if k1 * k2 <= 0 or (1 << (k1 * k2)) > CONSTRUCTION_SIZE_CAP:
                 continue
             try:
                 result = pseudo_product(cwc, sysc)
@@ -552,11 +544,9 @@ def _pseudo_product_candidates(
 
 
 @lru_cache(maxsize=None)
-def _concat_candidates(
-    m: int, n: int, w: int, size_cap: int = CONSTRUCTION_SIZE_CAP
-) -> tuple[tuple[int, int, str], ...]:
+def _concat_candidates(m: int, n: int, w: int) -> tuple[tuple[int, int, str], ...]:
     out = []
-    for inner in systematic_cwc_pool(n, w, size_cap=size_cap):
+    for inner in systematic_cwc_pool(n, w):
         q = max(
             (x for x in range(2, len(inner.words) + 1) if prime_power(x) is not None),
             default=None,
@@ -565,7 +555,7 @@ def _concat_candidates(
             continue
         field = field_for_order(q)
         for d2 in range(1, m + 1):
-            if q ** (m - d2 + 1) > size_cap:
+            if q ** (m - d2 + 1) > CONSTRUCTION_SIZE_CAP:
                 continue
             outer = reed_solomon(field, m, d2)
             result = concatenate(outer, inner)
@@ -582,7 +572,6 @@ def evaluate_cell(
     *,
     node_budget: int = TABLE_NODE_BUDGET,
     vertex_cap: int = TABLE_VERTEX_CAP,
-    size_cap: int = CONSTRUCTION_SIZE_CAP,
 ) -> None:
     """Apply the bound rules and constructions that can decide one cell, inserting records."""
     cell_profile_count = comb(n, w) ** m
@@ -609,7 +598,7 @@ def evaluate_cell(
         # A power-exact record already carries an RS witness of the same size.
         q = n // w
         s = m * w - d_eff // 2 + 1
-        if s >= 1 and q**s <= 64 * size_cap:  # keep exhaustive verification cheap
+        if s >= 1 and q**s <= RS_WITNESS_CAP:
             try:
                 witness = rs_mcwc(m, n, d_eff, w)
                 table.insert(
@@ -619,8 +608,8 @@ def evaluate_cell(
                 pass
     for size, guarantee, prov in (
         _design_candidates(m, n, w)
-        + _pseudo_product_candidates(m, n, w, size_cap)
-        + _concat_candidates(m, n, w, size_cap)
+        + _pseudo_product_candidates(m, n, w)
+        + _concat_candidates(m, n, w)
     ):
         if guarantee >= d:
             table.insert(_record(m, n, d, w, "lower", size, prov))

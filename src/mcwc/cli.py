@@ -100,11 +100,12 @@ def _sha256(path: str) -> str:
 
 
 def _manifest(args: argparse.Namespace, inputs: list[str]) -> str:
-    # The output path is where the artifact lands, not part of what it is.
+    # The output path is where the artifact lands, not part of what it is;
+    # the subcommand has its own top-level key.
     params = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "out") and v is not None
+        if k not in ("func", "out", "command") and v is not None
     }
     payload = {
         "tool": f"mcwc {__version__}",

@@ -3,6 +3,9 @@
 Binary words are packed into Python ints: coordinate j (0-based, reading the
 word left to right) is bit (length-1-j), so ``format(word, f"0{n}b")`` prints
 the word in natural order.  q-ary words are tuples of symbol indices.
+Verification reads a q-ary word as its indicator int (bit q*i + s set for
+symbol s at position i); two indicator ints differ in twice as many bits as
+their words differ in symbols, so one XOR-popcount loop serves both alphabets.
 """
 
 from __future__ import annotations
@@ -72,13 +75,6 @@ def word_blocks(word: int, profile: WeightProfile) -> tuple[int, ...]:
         remaining -= n_i
         out.append((word >> remaining) & ((1 << n_i) - 1))
     return tuple(out)
-
-
-def word_from_blocks(blocks: Sequence[int], widths: Sequence[int]) -> int:
-    word = 0
-    for b, n_i in zip(blocks, widths):
-        word = (word << n_i) | b
-    return word
 
 
 def block_weights(word: int, profile: WeightProfile) -> tuple[int, ...]:
@@ -235,6 +231,14 @@ class VerificationReport:
         )
 
 
+def _indicator_words(code: Code) -> tuple[Sequence[int], int]:
+    """Packed words whose XOR popcount is `scale` times the code's Hamming distance."""
+    if isinstance(code, BinaryCode):
+        return code.words, 1
+    q = code.q
+    return [sum(1 << (q * i + s) for i, s in enumerate(wd)) for wd in code.words], 2
+
+
 def verify_code(code: Code) -> VerificationReport:
     """Exhaustively verify distance claim and (for binary codes) profile weights."""
     if len(code.words) == 0:
@@ -249,24 +253,17 @@ def verify_code(code: Code) -> VerificationReport:
                 if got != want:
                     violations.append((wi, bi, got, want))
 
+    words, scale = _indicator_words(code)
     min_dist: float = math.inf
     closest = None
-    if isinstance(code, BinaryCode):
-        words = code.words
-        for i in range(len(words)):
-            wi = words[i]
-            for j in range(i + 1, len(words)):
-                d = (wi ^ words[j]).bit_count()
-                if d < min_dist:
-                    min_dist, closest = d, (i, j)
-    else:
-        words = code.words
-        for i in range(len(words)):
-            wi = words[i]
-            for j in range(i + 1, len(words)):
-                d = sum(a != b for a, b in zip(wi, words[j]))
-                if d < min_dist:
-                    min_dist, closest = d, (i, j)
+    for i in range(len(words)):
+        wi = words[i]
+        for j in range(i + 1, len(words)):
+            d = (wi ^ words[j]).bit_count()
+            if d < min_dist:
+                min_dist, closest = d, (i, j)
+    if closest is not None:
+        min_dist //= scale
 
     passed = min_dist >= code.claimed_distance and not violations
     return VerificationReport(min_dist, code.claimed_distance, tuple(violations), closest, passed)
@@ -388,11 +385,6 @@ def code_read(f: TextIO) -> Code:
         if len(words[-1]) != length:
             raise CodeError(f"word {line!r} does not have length {length}")
     return QaryCode.from_words(words, q, length, d)
-
-
-def code_write_path(path, code: Code, extra_comments: Sequence[str] = ()) -> None:
-    with open(path, "w") as f:
-        code_write(f, code, extra_comments)
 
 
 def code_read_path(path) -> Code:

@@ -1,8 +1,11 @@
 """Lower-bound constructions for multiply constant-weight codes.
 
 Every constructor returns a ConstructionResult whose code has been verified
-exhaustively against its guaranteed distance and weight profile; a failed
-verification is an internal bug and raises.
+exhaustively, once, against its guaranteed distance and weight profile.
+Ingredients are not verified up front: the output's distance and profile are
+what the construction promises, so the output check covers them.  Only when
+the output fails are the ingredients checked, to tell a false ingredient claim
+(ConstructionError, naming the ingredient) from a bug here (AssertionError).
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ from .codes import (
 from .gf import Field, field_for_order, prime_power
 
 
+# Largest code the table's construction providers build and verify exhaustively.
+CONSTRUCTION_SIZE_CAP = 512
+
+
 class ConstructionError(ValueError):
     pass
 
@@ -42,7 +49,10 @@ class ConstructionResult:
         return len(self.code.words)
 
 
-def _finish(words, length, guaranteed, profile, provenance, expected_size) -> ConstructionResult:
+def _finish(
+    words, length, guaranteed, profile, provenance, expected_size, ingredients=()
+) -> ConstructionResult:
+    """Verify the built code; `ingredients` are (label, code) pairs blamed on failure."""
     code = BinaryCode.from_words(words, length, guaranteed, profile)
     if len(code.words) != expected_size:
         raise AssertionError(
@@ -50,15 +60,14 @@ def _finish(words, length, guaranteed, profile, provenance, expected_size) -> Co
         )
     report = verify_code(code)
     if not report.passed:
+        for what, ingredient in ingredients:
+            ingredient_report = verify_code(ingredient)
+            if not ingredient_report.passed:
+                raise ConstructionError(
+                    f"{what} fails verification: {ingredient_report.summary()}"
+                )
         raise AssertionError(f"{provenance}: verification failed: {report.summary()}")
     return ConstructionResult(code, guaranteed, provenance, report)
-
-
-def _require_verified(code, what: str) -> VerificationReport:
-    report = verify_code(code)
-    if not report.passed:
-        raise ConstructionError(f"{what} fails verification: {report.summary()}")
-    return report
 
 
 def _cwc_params(code: BinaryCode, what: str) -> tuple[int, int]:
@@ -76,8 +85,6 @@ def concatenate(outer: QaryCode, inner: BinaryCode) -> ConstructionResult:
     The injection is fixed: symbol i goes to the i-th smallest inner word.
     Output distance is guaranteed >= d_inner * d_outer.
     """
-    _require_verified(outer, "outer code")
-    _require_verified(inner, "inner code")
     n, w = _cwc_params(inner, "inner code")
     if len(inner.words) < outer.q:
         raise ConstructionError(
@@ -93,7 +100,8 @@ def concatenate(outer: QaryCode, inner: BinaryCode) -> ConstructionResult:
         words.append(word)
     profile = WeightProfile.homogeneous(m, n, w)
     prov = f"concatenation(outer=({m},{outer.claimed_distance})_{outer.q}, inner=cwc({n},{inner.claimed_distance},{w}))"
-    return _finish(words, m * n, guaranteed, profile, prov, len(outer.words))
+    ingredients = (("outer code", outer), ("inner code", inner))
+    return _finish(words, m * n, guaranteed, profile, prov, len(outer.words), ingredients)
 
 
 # ---------- pseudo-product ----------
@@ -116,8 +124,6 @@ def pseudo_product(cwc: BinaryCode, sys: BinaryCode) -> ConstructionResult:
     weight w), giving an m-by-n matrix of constant row weight w.  Produces
     2^(k1*k2) codewords at distance >= d1*d2.
     """
-    _require_verified(cwc, "constant-weight ingredient")
-    _require_verified(sys, "systematic ingredient")
     n, w = _cwc_params(cwc, "constant-weight ingredient")
     k1, encode_row = _systematic_encoder(cwc, "constant-weight ingredient")
     k2, encode_col = _systematic_encoder(sys, "systematic ingredient")
@@ -138,14 +144,14 @@ def pseudo_product(cwc: BinaryCode, sys: BinaryCode) -> ConstructionResult:
 
     profile = WeightProfile.homogeneous(m, n, w)
     prov = f"pseudo-product(cwc({n},{cwc.claimed_distance},{w})^2^{k1} x sys({m},{sys.claimed_distance})^2^{k2})"
-    return _finish(words, m * n, guaranteed, profile, prov, 1 << (k1 * k2))
+    ingredients = (("constant-weight ingredient", cwc), ("systematic ingredient", sys))
+    return _finish(words, m * n, guaranteed, profile, prov, 1 << (k1 * k2), ingredients)
 
 
 # ---------- complement extension ----------
 
 def complement_extend(code: BinaryCode) -> ConstructionResult:
     """{(x, complement(x))}: doubles length and distance, weight becomes n."""
-    _require_verified(code, "ingredient")
     if find_systematic_set(code) is None:
         raise ConstructionError("ingredient is not systematic")
     n = code.length
@@ -153,7 +159,10 @@ def complement_extend(code: BinaryCode) -> ConstructionResult:
     words = [(wd << n) | (mask ^ wd) for wd in code.words]
     profile = WeightProfile.homogeneous(1, 2 * n, n)
     prov = f"complement-extend(({n},{code.claimed_distance}) systematic)"
-    return _finish(words, 2 * n, 2 * code.claimed_distance, profile, prov, len(code.words))
+    return _finish(
+        words, 2 * n, 2 * code.claimed_distance, profile, prov, len(code.words),
+        (("ingredient", code),),
+    )
 
 
 # ---------- append extension ----------
@@ -167,7 +176,6 @@ def append_extend(k: int, cwc: BinaryCode) -> ConstructionResult:
     """
     if k < 0:
         raise ConstructionError("k must be >= 0")
-    _require_verified(cwc, "constant-weight ingredient")
     n, w = _cwc_params(cwc, "constant-weight ingredient")
     if len(cwc.words) < (1 << k):
         raise ConstructionError(f"need at least 2^{k} codewords, have {len(cwc.words)}")
@@ -177,7 +185,10 @@ def append_extend(k: int, cwc: BinaryCode) -> ConstructionResult:
     ]
     profile = WeightProfile.homogeneous(1, n + 2 * k, w + k)
     prov = f"append-extend(k={k}, cwc({n},{cwc.claimed_distance},{w}))"
-    return _finish(words, n + 2 * k, cwc.claimed_distance + 2, profile, prov, 1 << k)
+    return _finish(
+        words, n + 2 * k, cwc.claimed_distance + 2, profile, prov, 1 << k,
+        (("constant-weight ingredient", cwc),),
+    )
 
 
 # ---------- q-ary expansion ----------
@@ -188,7 +199,6 @@ def qary_expand(code: QaryCode, w: int) -> ConstructionResult:
     An (L, d)_q code with L = m*w becomes an m-block binary code with blocks of
     length q*w and weight w, at distance >= 2d.
     """
-    _require_verified(code, "q-ary code")
     if w < 1 or code.length % w:
         raise ConstructionError(f"length {code.length} not divisible by block weight {w}")
     q = code.q
@@ -201,7 +211,10 @@ def qary_expand(code: QaryCode, w: int) -> ConstructionResult:
         words.append(word)
     profile = WeightProfile.homogeneous(m, q * w, w)
     prov = f"qary-expand(({code.length},{code.claimed_distance})_{q}, w={w})"
-    return _finish(words, m * w * q, 2 * code.claimed_distance, profile, prov, len(code.words))
+    return _finish(
+        words, m * w * q, 2 * code.claimed_distance, profile, prov, len(code.words),
+        (("q-ary code", code),),
+    )
 
 
 def qary_collapse(result_code: BinaryCode) -> QaryCode:
@@ -360,7 +373,7 @@ def builtin_names() -> list[str]:
 # ---------- ingredient pools for bound tables ----------
 
 def systematic_binary_pool(m: int) -> list[BinaryCode]:
-    """Verified systematic (m, d) ingredient codes of length m."""
+    """Systematic (m, d) catalog codes of length m."""
     out = [builtin_code(f"full-{m}"), builtin_code(f"rep-{m}")]
     if m >= 2:
         out.append(builtin_code(f"parity-{m}"))
@@ -371,8 +384,8 @@ def systematic_binary_pool(m: int) -> list[BinaryCode]:
     return out
 
 
-def systematic_cwc_pool(n: int, w: int, *, size_cap: int = 512) -> list[BinaryCode]:
-    """Verified systematic constant-weight (n, d, w) ingredient codes."""
+def systematic_cwc_pool(n: int, w: int) -> list[BinaryCode]:
+    """Systematic constant-weight (n, d, w) codes: catalog entries and verified extensions."""
     out = []
     if (n, w) == (4, 2):
         out.append(builtin_code("cwc-4-2-2"))
@@ -380,13 +393,13 @@ def systematic_cwc_pool(n: int, w: int, *, size_cap: int = 512) -> list[BinaryCo
         out.append(builtin_code("cwc-2-2-1"))
     if n == 2 * w and w >= 1:
         for base in systematic_binary_pool(w):
-            if len(base.words) <= size_cap:
+            if len(base.words) <= CONSTRUCTION_SIZE_CAP:
                 out.append(complement_extend(base).code)
     # Append extension of the small fixed constant-weight ingredients.
     for base_name in ("cwc-2-2-1", "cwc-4-2-2"):
         base = _FIXED_CATALOG[base_name]()
         bn, bw = base.profile.parts[0]
         k = w - bw
-        if k >= 0 and n == bn + 2 * k and len(base.words) >= (1 << k) and (1 << k) <= size_cap:
+        if k >= 0 and n == bn + 2 * k and len(base.words) >= (1 << k) and (1 << k) <= CONSTRUCTION_SIZE_CAP:
             out.append(append_extend(k, base).code)
     return out

@@ -198,11 +198,6 @@ def design_read(f: TextIO) -> ResolvableDesign:
     return ResolvableDesign(v, k, t, canonical_classes(classes))
 
 
-def design_write_path(path, design: ResolvableDesign, extra_comments: Sequence[str] = ()) -> None:
-    with open(path, "w") as f:
-        design_write(f, design, extra_comments)
-
-
 def design_read_path(path) -> ResolvableDesign:
     with open(path) as f:
         return design_read(f)

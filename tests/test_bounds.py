@@ -2,14 +2,17 @@
 
 import io
 import math
+from itertools import combinations, product
 from math import comb
 
+import networkx as nx
 import pytest
 
 from mcwc.bounds import (
     BoundRecord,
     BoundTable,
     ConsistencyError,
+    ReferenceFormatError,
     ReferenceStore,
     SearchSpaceError,
     default_references,
@@ -197,9 +200,32 @@ def test_exact_search_small_cells():
     assert rec.kind == "exact" and rec.value == 12
 
 
-def test_exact_search_agrees_without_symmetry():
-    plain = exact_search(2, 4, 4, 2, symmetry=False)
-    assert plain.kind == "exact" and plain.value == 12
+def test_tightness_exact_caps_witness_size():
+    # 64^3 words would be built and verified pairwise; the rule declines.
+    assert tightness_exact(3, 64, 2, 1) is None
+
+
+@pytest.mark.parametrize(
+    "m,n,d,w", [(2, 4, 4, 2), (1, 8, 4, 4), (2, 4, 6, 2), (3, 3, 4, 1), (1, 7, 4, 3), (2, 5, 6, 2)]
+)
+def test_exact_search_agrees_with_networkx(m, n, d, w):
+    # Oracle: maximum clique of the full compatibility graph, no symmetry fixing.
+    rows = [sum(1 << j for j in support) for support in combinations(range(n), w)]
+    words = []
+    for choice in product(rows, repeat=m):
+        word = 0
+        for row in choice:
+            word = (word << n) | row
+        words.append(word)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(words)))
+    graph.add_edges_from(
+        (i, j) for i, j in combinations(range(len(words)), 2)
+        if (words[i] ^ words[j]).bit_count() >= d
+    )
+    _, size = nx.max_weight_clique(graph, weight=None)
+    rec = exact_search(m, n, d, w)
+    assert rec.kind == "exact" and rec.value == size
 
 
 def test_explicit_twelve_word_witness():
@@ -296,7 +322,7 @@ def test_reference_merge_conflict():
     from mcwc.bounds import ReferenceValue
 
     store = ReferenceStore([ReferenceValue("A", 2, 5, 4, 2, None, 2, "a")])
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ReferenceFormatError):
         store.add(ReferenceValue("A", 2, 5, 4, 2, 3, None, "b"))
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, file outputs, manifests, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -278,6 +279,7 @@ BAD_REFS = {
     "empty": "",
     "row": "kind,q,n,d,w,lower,upper,source\nA,2,x,4,2,2,2,src\n",
     "comma in source": "kind,q,n,d,w,lower,upper,source\nA,2,5,4,2,2,2,a,b\n",
+    "conflict": "kind,q,n,d,w,lower,upper,source\nA,2,5,4,2,,2,a\nA,2,5,4,2,3,,b\n",
 }
 
 
@@ -303,3 +305,22 @@ def test_bad_input_exit_2(argv, tmp_path, capsys):
     assert status == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_large_power_cell_is_exact_without_witness(capsys):
+    # Reed-Solomon would need 64^3 words here; the cell is pinned by counting.
+    start = time.perf_counter()
+    status, out, _ = run(["bound", "--m", "3", "--n", "64", "--d", "2", "--w", "1",
+                          "--vertex-cap", "0"], capsys)
+    assert status == 0
+    assert out.splitlines()[0] == "lower=262144 upper=262144 exact"
+    assert time.perf_counter() - start < 10
+
+
+def test_manifest_names_command_once(capsys):
+    status, out, _ = run(["construct", "rs", "--q", "3", "--len", "2", "--d", "2"], capsys)
+    assert status == 0
+    manifest = json.loads(out.splitlines()[0].removeprefix("# manifest: "))
+    assert manifest["command"] == "construct"
+    assert "command" not in manifest["params"]
+    assert manifest["params"]["method"] == "rs"

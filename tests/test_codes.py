@@ -2,6 +2,8 @@
 
 import io
 import math
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,32 @@ def test_verify_qary():
     assert verify_code(code).passed
     bad = QaryCode.from_words([(0, 0), (0, 1)], q=3, claimed_distance=2)
     assert not verify_code(bad).passed
+
+
+def _pairwise_oracle(words, claimed):
+    """(min distance, first closest pair, passed) from hamming_distance on every pair."""
+    best, closest = math.inf, None
+    for i, j in combinations(range(len(words)), 2):
+        d = hamming_distance(words[i], words[j])
+        if d < best:
+            best, closest = d, (i, j)
+    return best, closest, best >= claimed
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_verify_matches_pairwise_oracle(seed):
+    rng = random.Random(seed)
+    length = rng.randint(1, 10)
+    words = rng.sample(range(1 << length), rng.randint(1, min(40, 1 << length)))
+    binary = BinaryCode.from_words(words, length, rng.randint(0, length))
+    q = rng.randint(2, 9)
+    qlength = rng.randint(1, 5)
+    symbols = {tuple(rng.randrange(q) for _ in range(qlength)) for _ in range(rng.randint(1, 40))}
+    qary = QaryCode.from_words(symbols, q, qlength, rng.randint(0, qlength))
+    for code, as_sequences in ((binary, binary.word_strings()), (qary, qary.words)):
+        report = verify_code(code)
+        oracle = _pairwise_oracle(as_sequences, code.claimed_distance)
+        assert (report.min_distance, report.closest_pair, report.passed) == oracle
 
 
 def test_systematic_set_examples():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import mcwc.constructions as constructions_mod
 from mcwc.codes import BinaryCode, CodeError, QaryCode, WeightProfile, find_systematic_set, verify_code
 from mcwc.constructions import (
     ConstructionError,
@@ -71,7 +72,7 @@ def test_concatenate_inner_too_small():
 def test_concatenate_rejects_failing_ingredient():
     inner = cwc(["10", "01"], 2, 4, 1)  # inflated distance claim
     outer = QaryCode.from_words([(0, 0), (1, 1)], q=2, claimed_distance=2)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match="inner code fails verification"):
         concatenate(outer, inner)
 
 
@@ -253,3 +254,64 @@ def test_append_extend_information_set_leads():
     result = append_extend(2, builtin_code("cwc-4-2-2"))
     info = find_systematic_set(result.code)
     assert info is not None and set(info) <= {0, 1}
+
+
+# ---------- one verification per built code ----------
+
+def _inflated(code: BinaryCode, d: int) -> BinaryCode:
+    return BinaryCode(code.length, code.words, d, code.profile)
+
+
+@pytest.mark.parametrize(
+    "build, ingredient",
+    [
+        (lambda: concatenate(
+            QaryCode.from_words([(0, 0), (1, 1)], q=2, claimed_distance=3),
+            cwc(["10", "01"], 2, 2, 1)), "outer code"),
+        (lambda: pseudo_product(
+            _inflated(builtin_code("cwc-4-2-2"), 4), builtin_code("lin-6-2-4")),
+         "constant-weight ingredient"),
+        (lambda: pseudo_product(
+            cwc(["0011", "0101", "1010", "1111"], 4, 2, 2), builtin_code("lin-6-2-4")),
+         "constant-weight ingredient"),
+        (lambda: pseudo_product(
+            builtin_code("cwc-4-2-2"), _inflated(builtin_code("lin-6-2-4"), 6)),
+         "systematic ingredient"),
+        (lambda: complement_extend(_inflated(builtin_code("full-2"), 2)), "ingredient"),
+        (lambda: append_extend(2, _inflated(builtin_code("cwc-4-2-2"), 4)),
+         "constant-weight ingredient"),
+        (lambda: qary_expand(
+            QaryCode.from_words([(0, 0), (0, 1)], q=3, claimed_distance=2), 1), "q-ary code"),
+    ],
+    ids=["concat-outer", "pp-cwc-distance", "pp-cwc-profile", "pp-sys",
+         "complement", "append", "qary-expand"],
+)
+def test_false_ingredient_claim_is_named(build, ingredient):
+    with pytest.raises(ConstructionError, match=f"^{ingredient} fails verification"):
+        build()
+
+
+def test_failed_output_with_sound_ingredients_is_a_bug():
+    sound = cwc(["10", "01"], 2, 2, 1)
+    with pytest.raises(AssertionError, match="verification failed"):
+        constructions_mod._finish([0b01, 0b11], 2, 2, None, "unit", 2, (("inner code", sound),))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rs_mcwc(2, 3, 2, 1),
+        lambda: pseudo_product(builtin_code("cwc-4-2-2"), builtin_code("lin-6-2-4")),
+    ],
+    ids=["rs_mcwc", "pseudo_product"],
+)
+def test_success_verifies_once(build, monkeypatch):
+    calls = []
+
+    def counting(code):
+        calls.append(code)
+        return verify_code(code)
+
+    monkeypatch.setattr(constructions_mod, "verify_code", counting)
+    result = build()
+    assert calls == [result.code]
