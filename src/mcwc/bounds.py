@@ -14,7 +14,6 @@ lift noted in the record provenance.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +22,7 @@ from math import comb
 from typing import Iterable, Sequence, TextIO
 
 from . import designs as designs_mod
-from .clique import max_clique
+from .clique import ROW_BLOCK, max_clique, pack_rows
 from .codes import BinaryCode, WeightProfile
 from .constructions import (
     CONSTRUCTION_SIZE_CAP,
@@ -283,6 +282,7 @@ def exact_search(
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
+    upper: float = INF,
     with_witness: bool = False,
 ):
     """Exact M(m,n,d,w) by maximum-clique search over all profile words.
@@ -293,6 +293,10 @@ def exact_search(
     transitive (blocks and columns within blocks can be permuted), so the
     search fixes the lexicographically smallest matrix as a clique member and
     recurses on its neighborhood.
+
+    ``upper`` is a proven upper bound on the cell.  The search stops once it
+    finds a code of that size and returns it as a lower record ("met upper
+    bound"); the bound's own record then makes the cell exact.
     """
     if not 0 <= w <= n or m < 1:
         raise SearchSpaceError(f"no words for cell ({m},{n},{d},{w})")
@@ -317,26 +321,41 @@ def exact_search(
 
     base = vertices[0]
     neighbours = [v for v in vertices[1:] if (base ^ v).bit_count() >= d_eff]
-    result = max_clique(_adjacency(neighbours, d_eff), node_budget)
+    # The base word is fixed, so the neighbourhood needs one word fewer.
+    result = max_clique(_adjacency(neighbours, d_eff), node_budget, target=upper - 1)
     value = 1 + result.size
     witness = [base] + [neighbours[i] for i in result.members]
 
-    if result.complete:
+    if result.stop_reason == "done":
         return finish("exact", value, f"complete, nodes={result.nodes}", witness)
+    if result.stop_reason == "target":
+        return finish("lower", value, f"met upper bound, nodes={result.nodes}", witness)
     return finish(
         "lower", value, f"incomplete, node budget {node_budget} exhausted", witness
     )
 
 
 def _adjacency(words: Sequence[int], d: int) -> list[int]:
+    """Bitmask rows of the graph joining distinct words at distance >= d."""
+    import numpy as np  # imported on first use, as in mcwc.clique
+
     v = len(words)
-    adj = [0] * v
-    for i in range(v):
-        wi = words[i]
-        for j in range(i + 1, v):
-            if (wi ^ words[j]).bit_count() >= d:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    if v == 0:
+        return []
+    # Words may be wider than 64 bits (m*n > 64): split them into uint64 limbs.
+    limbs = max(1, (max(words).bit_length() + 63) // 64)
+    mask = (1 << 64) - 1
+    split = np.array(
+        [[(word >> (64 * k)) & mask for k in range(limbs)] for word in words],
+        dtype=np.uint64,
+    )
+    adj: list[int] = []
+    for start in range(0, v, ROW_BLOCK):
+        block = split[start:start + ROW_BLOCK]
+        dist = np.bitwise_count(block[:, None, :] ^ split[None, :, :])
+        near = dist.sum(axis=2, dtype=np.int32) >= d
+        near[np.arange(len(block)), np.arange(start, start + len(block))] = False
+        adj.extend(pack_rows(near))
     return adj
 
 
@@ -624,11 +643,13 @@ def evaluate_cell(
         else:
             table.insert(eb_transfer(m, n, d, w, ref.lower, ref.source))
 
-    # Exact search, budget permitting.
-    if cell_profile_count <= vertex_cap:
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), cell_profile_count + 1000))
+    # Exact search, budget permitting, unless the rules above pinned the cell.
+    cell = (m, n, d, w)
+    if cell_profile_count <= vertex_cap and table.exact_value(cell) is None:
+        upper, _ = table.best_upper(cell)
         table.insert(
-            exact_search(m, n, d, w, node_budget=node_budget, vertex_cap=vertex_cap)
+            exact_search(m, n, d, w, node_budget=node_budget, vertex_cap=vertex_cap,
+                         upper=upper)
         )
 
 

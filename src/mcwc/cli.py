@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from . import __version__
@@ -309,13 +310,30 @@ def _cmd_table(args) -> int:
 
 # ---------- curves ----------
 
+# Most points one curves call evaluates per curve.
+CURVE_POINT_CAP = 100_000
+
+
 def _cmd_curves(args) -> int:
     names = args.curves.split(",") if args.curves else None
-    if not args.grid_step > 0:
-        raise UsageError(f"--grid-step must be positive, got {args.grid_step}")
-    steps = int(round((args.grid_end - args.grid_start) / args.grid_step))
-    grid = [args.grid_start + i * args.grid_step for i in range(steps + 1)]
-    grid = [t for t in grid if t <= args.grid_end + 1e-12]
+    start, end, step = args.grid_start, args.grid_end, args.grid_step
+    if not all(math.isfinite(x) for x in (start, end, step)):
+        raise UsageError(
+            f"--grid-start, --grid-end and --grid-step must be finite, got {start}, {end}, {step}"
+        )
+    if end < start:
+        raise UsageError(f"--grid-end {end} is below --grid-start {start}")
+    if step <= 0:
+        raise UsageError(f"--grid-step must be positive, got {step}")
+    # Counted in floats, so a tiny step is refused before any point is built.
+    steps = (end - start) / step
+    if steps + 1 > CURVE_POINT_CAP:
+        raise UsageError(
+            f"--grid-step {step} gives {steps + 1:.3g} points over [{start}, {end}]; "
+            f"the cap is {CURVE_POINT_CAP}, use a larger step"
+        )
+    grid = [start + i * step for i in range(round(steps) + 1)]
+    grid = [t for t in grid if t <= end + 1e-12]
     rows = emit_curves(grid, names)
     manifest = _manifest(args, [])
     _write_output(args.out, lambda f: write_curves_csv(f, rows), manifest)

@@ -167,12 +167,17 @@ def test_criterion_6_full_grid_consistency():
             for rec in records:
                 if rec.kind != "exact":
                     continue
-                exacts[cell] = int(rec.value)
                 for other in records:
                     if other.kind == "upper":
                         assert rec.value <= other.value, (cell, other.provenance)
                     elif other.kind == "lower":
                         assert other.value <= rec.value, (cell, other.provenance)
+            # A cell is exact when its best lower bound meets its best upper
+            # bound: an exact record, or a witness (such as a search stopped at
+            # the upper bound) meeting a proven upper bound.
+            value = table.exact_value(cell)
+            if value is not None:
+                exacts[cell] = value
         # monotone in d where exact
         for (m, n, d, w), value in exacts.items():
             nxt = exacts.get((m, n, d + 2, w))

@@ -2,12 +2,15 @@
 
 import io
 import math
+import random
+import sys
 from itertools import combinations, product
 from math import comb
 
 import networkx as nx
 import pytest
 
+from mcwc import bounds as bounds_mod
 from mcwc.bounds import (
     BoundRecord,
     BoundTable,
@@ -262,6 +265,74 @@ def test_exact_search_budget_downgrade():
     assert good.value == 45
     assert rec.value <= good.value
     assert johnson_homogeneous(2, 6, 4, 2).value == 45
+
+
+@pytest.mark.parametrize(
+    "cell,incumbent", [((2, 6, 4, 3), 69), ((2, 7, 4, 3), 185), ((2, 7, 6, 3), 25)]
+)
+def test_budget_exhausted_incumbents(cell, incumbent):
+    # The vertex order and branch order decide these budget-limited values.
+    rec = exact_search(*cell, node_budget=20_000)
+    assert rec.kind == "lower" and "incomplete" in rec.provenance
+    assert rec.value == incumbent
+
+
+def test_exact_search_stops_at_upper_bound():
+    full = exact_search(2, 6, 4, 2, node_budget=20_000)
+    met = exact_search(2, 6, 4, 2, node_budget=20_000, upper=45)
+    assert met.kind == "lower" and met.value == 45
+    assert met.provenance.startswith("clique-search[met upper bound, nodes=")
+    assert "incomplete" in full.provenance
+    # (2,7,4,2): the greedy seed alone meets the bound.
+    seed_only = exact_search(2, 7, 4, 2, node_budget=20_000, upper=63)
+    assert seed_only.value == 63
+    assert seed_only.provenance == "clique-search[met upper bound, nodes=0]"
+
+
+def pairwise_adjacency(words, d):
+    adj = [0] * len(words)
+    for i, u in enumerate(words):
+        for j, v in enumerate(words):
+            if i != j and (u ^ v).bit_count() >= d:
+                adj[i] |= 1 << j
+    return adj
+
+
+@pytest.mark.parametrize("bits", [1, 12, 64, 65, 70, 130])
+def test_adjacency_matches_pairwise_oracle(bits):
+    rng = random.Random(bits)
+    for size in (0, 1, 2, 63, 64, 65, 150):
+        words = list({rng.getrandbits(bits) for _ in range(size)})
+        for d in (1, 2, bits // 2, bits):
+            assert bounds_mod._adjacency(words, d) == pairwise_adjacency(words, d)
+
+
+def test_evaluate_cell_skips_search_on_pinned_cell(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("exact_search ran on a pinned cell")
+
+    monkeypatch.setattr(bounds_mod, "exact_search", no_search)
+    table = BoundTable()
+    for cell in ((3, 3, 4, 1), (1, 4, 2, 2), (2, 3, 2, 1)):
+        evaluate_cell(table, *cell)
+        assert table.exact_value(cell) is not None
+
+
+def test_evaluate_cell_search_meets_upper_bound():
+    table = BoundTable()
+    evaluate_cell(table, 2, 6, 4, 2, node_budget=20_000)
+    cell = (2, 6, 4, 2)
+    assert table.exact_value(cell) == 45
+    _, lo_prov = table.best_lower(cell)
+    assert lo_prov.startswith("clique-search[met upper bound")
+
+
+def test_table_build_keeps_recursion_limit():
+    limit = sys.getrecursionlimit()
+    assert comb(7, 3) ** 2 >= 1000
+    table = table_build([2], [7], [3], [6], node_budget=2000)
+    assert table.cells() == [(2, 7, 6, 3)]
+    assert sys.getrecursionlimit() == limit
 
 
 def test_exact_search_vertex_cap():

@@ -296,6 +296,14 @@ BAD_REFS = {
     + [
         ["bound", "--m", "1", "--n", "4", "--d", "2", "--w", "2", "--refs", f"{{tmp}}/{name}.csv"]
         for name in BAD_REFS
+    ]
+    + [
+        ["curves", "--grid-end", "nan"],
+        ["curves", "--grid-end", "inf"],
+        ["curves", "--grid-step", "inf"],
+        ["curves", "--grid-start", "0.4", "--grid-end", "0.1"],
+        # ~5e11 points: refused before the grid is built
+        ["curves", "--grid-step", "1e-12"],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
