@@ -14,6 +14,7 @@ lift noted in the record provenance.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -140,43 +141,96 @@ def _normalize_profile(parts: tuple[tuple[int, int], ...]) -> tuple[tuple[int, i
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
-def _johnson_t(parts: tuple[tuple[int, int], ...], d: int) -> tuple[int, str]:
-    """Heterogeneous recursion; parts normalized, d even."""
-    count = math.prod(comb(n_i, w_i) for n_i, w_i in parts) if parts else 1
-    if count <= 1:
-        return 1, "single-word cell"
-    if d <= 2:
-        return count, "membership count"
-    if sum(2 * w_i for _, w_i in parts) < d:
-        return 1, "distance exceeds diameter"
+# Normalised profile -> (lo, row): row[u - lo] bounds the profile at d = 2u for
+# lo <= u <= W, its total weight; every larger u reads 1.  The values depend on
+# the profile and u alone, so one memo serves every caller in any order.
+_JOHNSON_ROWS: dict[tuple[tuple[int, int], ...], tuple[int, list[int]]] = {}
 
-    best, rule = None, ""
-    u = d // 2
-    lam = sum(w_i for _, w_i in parts) - u
-    denom = sum(Fraction(w_i * w_i, n_i) for n_i, w_i in parts) - lam
-    if denom > 0:
-        best, rule = math.floor(Fraction(u) / denom), "average-intersection closed form"
+_CLOSED_FORM = "average-intersection closed form"
+
+
+@lru_cache(maxsize=None)
+def _shrink_rules(i: int) -> tuple[str, str]:
+    return f"shrink-weight block {i}", f"shrink-length block {i}"
+
+
+def _johnson_row(parts: tuple[tuple[int, int], ...], lo: int) -> tuple[int, list[int]]:
+    """(lo', row) with lo' <= lo: the memoised bounds of `parts` from u = lo' up.
+
+    A stored row whose lower limit is above lo is recomputed from lo and
+    replaced.  Needs 2 <= lo <= W.
+    """
+    hit = _JOHNSON_ROWS.get(parts)
+    if hit is None or hit[0] > lo:
+        hit = lo, list(map(min, *(bounds for _, bounds in _johnson_steps(parts, lo))))
+        _JOHNSON_ROWS[parts] = hit
+    return hit
+
+
+def _johnson_steps(
+    parts: tuple[tuple[int, int], ...], lo: int
+) -> list[tuple[str, list[float]]]:
+    """Each recursion step from `parts` as (rule, bounds for u = lo..W).
+
+    Steps come in tie-break order: the closed form (inf where it does not
+    apply), then shrink-weight and shrink-length per block.  A block equal to
+    the one before it gives the same children, so it is skipped and ties keep
+    the first index.  Needs 2 <= lo <= W.
+    """
+    weights = sum(w_i for _, w_i in parts)
+    # u / (sum w_i^2/n_i - (W - u)), with numerator and divisor scaled by N.
+    total = math.prod(n_i for n_i, _ in parts)
+    base = sum(w_i * w_i * (total // n_i) for n_i, w_i in parts) - weights * total
+    steps = [(_CLOSED_FORM, [
+        u * total // (base + u * total) if base + u * total > 0 else INF
+        for u in range(lo, weights + 1)
+    ])]
     for i, (n_i, w_i) in enumerate(parts):
-        if w_i >= 1:
-            rest = parts[:i] + ((n_i - 1, w_i - 1),) + parts[i + 1 :]
-            inner, _ = _johnson_t(_normalize_profile(rest), d)
-            val = (n_i * inner) // w_i
-            if best is None or val < best:
-                best, rule = val, f"shrink-weight block {i}"
-        if n_i - w_i >= 1:
-            rest = parts[:i] + ((n_i - 1, w_i),) + parts[i + 1 :]
-            inner, _ = _johnson_t(_normalize_profile(rest), d)
-            val = (n_i * inner) // (n_i - w_i)
-            if best is None or val < best:
-                best, rule = val, f"shrink-length block {i}"
-    return best, rule
+        if i and parts[i - 1] == parts[i]:
+            continue
+        rest = parts[:i] + parts[i + 1:]
+        weight_rule, length_rule = _shrink_rules(i)
+        # (rule, shrunk block, divisor of n_i * T(child)), weight step first.
+        shrinks = [(weight_rule, (n_i - 1, w_i - 1), w_i)] if w_i else []
+        shrinks.append((length_rule, (n_i - 1, min(w_i, n_i - 1 - w_i)), n_i - w_i))
+        for rule, block, divisor in shrinks:
+            child_weights = weights - w_i + block[1]
+            inner = []
+            if child_weights >= lo:
+                child = list(rest)
+                if block[0]:
+                    insort(child, block)
+                child_lo, row = _johnson_row(tuple(child), lo)
+                inner = row[lo - child_lo:]
+            # T(child) is 1 above the child's total weight.
+            bounds = [n_i * x // divisor for x in inner]
+            bounds += [n_i // divisor] * (weights - max(child_weights, lo - 1))
+            steps.append((rule, bounds))
+    return steps
+
+
+def _johnson_t(parts: tuple[tuple[int, int], ...], u: int) -> tuple[int, str]:
+    """Heterogeneous recursion at d = 2u; parts normalized."""
+    weights = sum(w_i for _, w_i in parts)
+    if weights == 0:  # normalised blocks have w_i <= n_i/2: one word iff W = 0
+        return 1, "single-word cell"
+    if u <= 1:
+        return math.prod(comb(n_i, w_i) for n_i, w_i in parts), "membership count"
+    if u > weights:
+        return 1, "distance exceeds diameter"
+    steps = _johnson_steps(parts, u)
+    best = min(bounds[0] for _, bounds in steps)
+    return best, next(rule for rule, bounds in steps if bounds[0] == best)
 
 
 def johnson_general(profile: WeightProfile, d: int) -> BoundRecord:
-    """Recursive bound for an arbitrary (possibly heterogeneous) weight profile."""
+    """Recursive bound for an arbitrary (possibly heterogeneous) weight profile.
+
+    Each normalised profile in the recursion is worked out once for every d
+    from the smallest one asked of it upward, in integer arithmetic.
+    """
     d_eff, note = _lift(d)
-    value, rule = _johnson_t(_normalize_profile(profile.parts), d_eff)
+    value, rule = _johnson_t(_normalize_profile(profile.parts), d_eff // 2)
     return BoundRecord(profile, d, "upper", value, f"johnson-general[{rule}]{note}")
 
 

@@ -259,11 +259,31 @@ def _references(args, inputs: list[str]) -> ReferenceStore | None:
     return None
 
 
+def _search_limits(args, budget: int, cap: int) -> tuple[int, int]:
+    """--budget and --vertex-cap, or the given defaults; each must be >= 0."""
+    budget = args.budget if args.budget is not None else budget
+    cap = args.vertex_cap if args.vertex_cap is not None else cap
+    _check_least("--budget", [budget], 0)
+    _check_least("--vertex-cap", [cap], 0)
+    return budget, cap
+
+
+def _check_least(flag: str, values: list[int], least: int) -> None:
+    if min(values) < least:
+        raise UsageError(f"{flag} must be >= {least}, got {min(values)}")
+
+
+def _check_cells(m_values: list[int], n_values: list[int], w_values: list[int]) -> None:
+    _check_least("--m", m_values, 1)
+    _check_least("--n", n_values, 0)
+    _check_least("--w", w_values, 0)
+
+
 def _cmd_bound(args) -> int:
     inputs: list[str] = []
+    _check_cells([args.m], [args.n], [args.w])
+    budget, cap = _search_limits(args, DEFAULT_NODE_BUDGET, DEFAULT_VERTEX_CAP)
     table = BoundTable(_references(args, inputs))
-    budget = args.budget if args.budget is not None else DEFAULT_NODE_BUDGET
-    cap = args.vertex_cap if args.vertex_cap is not None else DEFAULT_VERTEX_CAP
     evaluate_cell(table, args.m, args.n, args.d, args.w, node_budget=budget, vertex_cap=cap)
     cell = (args.m, args.n, args.d, args.w)
     lo, lo_prov = table.best_lower(cell)
@@ -282,22 +302,28 @@ def _parse_range(spec: str) -> list[int]:
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(x) for x in spec.split(",")]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(x) for x in spec.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad range {spec!r}: use LO..HI or a comma list") from exc
+    if not values:
+        raise UsageError(f"range {spec!r} is empty")
+    return values
 
 
 def _cmd_table(args) -> int:
     inputs: list[str] = []
+    m_values, n_values, w_values = (_parse_range(r) for r in (args.m, args.n, args.w))
+    _check_cells(m_values, n_values, w_values)
+    d_values = _parse_range(args.d) if args.d else None
+    budget, cap = _search_limits(args, TABLE_NODE_BUDGET, TABLE_VERTEX_CAP)
     refs = _references(args, inputs)
-    budget = args.budget if args.budget is not None else TABLE_NODE_BUDGET
-    cap = args.vertex_cap if args.vertex_cap is not None else TABLE_VERTEX_CAP
     table = table_build(
-        _parse_range(args.m),
-        _parse_range(args.n),
-        _parse_range(args.w),
-        _parse_range(args.d) if args.d else None,
+        m_values,
+        n_values,
+        w_values,
+        d_values,
         references=refs,
         node_budget=budget,
         vertex_cap=cap,
@@ -335,6 +361,8 @@ def _cmd_curves(args) -> int:
     grid = [start + i * step for i in range(round(steps) + 1)]
     grid = [t for t in grid if t <= end + 1e-12]
     rows = emit_curves(grid, names)
+    if not rows:
+        raise UsageError(f"no point of [{start}, {end}] lies in the domain of any chosen curve")
     manifest = _manifest(args, [])
     _write_output(args.out, lambda f: write_curves_csv(f, rows), manifest)
     print(f"rows={len(rows)} curves={len(set(r[0] for r in rows))}")

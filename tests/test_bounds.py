@@ -4,6 +4,8 @@ import io
 import math
 import random
 import sys
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -139,6 +141,96 @@ def test_johnson_general_dominates_brute_force(parts, d):
 def test_heterogeneous_matches_homogeneous_cell():
     # two length-3 weight-1 blocks at distance 4 is the (2,3,4,1) cell
     assert brute_force_t(((3, 1), (3, 1)), 4) == exact_search(2, 3, 4, 1).value == 3
+
+
+@lru_cache(maxsize=None)
+def reference_johnson_t(parts, d):
+    """The recursion one (profile, d) state at a time, in Fraction arithmetic.
+
+    This is the direct form of the rule johnson_general memoises per profile
+    for all d at once in integers; parts normalized, d even.
+    """
+    count = math.prod(comb(n_i, w_i) for n_i, w_i in parts) if parts else 1
+    if count <= 1:
+        return 1, "single-word cell"
+    if d <= 2:
+        return count, "membership count"
+    if sum(2 * w_i for _, w_i in parts) < d:
+        return 1, "distance exceeds diameter"
+
+    best, rule = None, ""
+    u = d // 2
+    lam = sum(w_i for _, w_i in parts) - u
+    denom = sum(Fraction(w_i * w_i, n_i) for n_i, w_i in parts) - lam
+    if denom > 0:
+        best, rule = math.floor(Fraction(u) / denom), "average-intersection closed form"
+    for i, (n_i, w_i) in enumerate(parts):
+        if w_i >= 1:
+            rest = parts[:i] + ((n_i - 1, w_i - 1),) + parts[i + 1 :]
+            inner, _ = reference_johnson_t(bounds_mod._normalize_profile(rest), d)
+            val = (n_i * inner) // w_i
+            if best is None or val < best:
+                best, rule = val, f"shrink-weight block {i}"
+        if n_i - w_i >= 1:
+            rest = parts[:i] + ((n_i - 1, w_i),) + parts[i + 1 :]
+            inner, _ = reference_johnson_t(bounds_mod._normalize_profile(rest), d)
+            val = (n_i * inner) // (n_i - w_i)
+            if best is None or val < best:
+                best, rule = val, f"shrink-length block {i}"
+    return best, rule
+
+
+def reference_johnson_general(parts, d):
+    d_eff, note = bounds_mod._lift(d)
+    value, rule = reference_johnson_t(bounds_mod._normalize_profile(parts), d_eff)
+    return value, f"johnson-general[{rule}]{note}"
+
+
+def johnson_general_pair(parts, d):
+    rec = johnson_general(WeightProfile(parts), d)
+    return rec.value, rec.provenance
+
+
+HETEROGENEOUS_PROFILES = (
+    ((3, 1), (4, 2)),
+    ((2, 0), (4, 2)),
+    ((0, 0), (5, 3)),
+    ((2, 1), (3, 1), (4, 2)),
+    ((5, 2), (6, 3), (7, 1)),
+    ((1, 1), (8, 5), (8, 3), (8, 3)),
+    ((4, 2), (4, 2), (6, 1), (6, 5)),
+)
+
+
+def test_johnson_general_matches_reference_in_any_order():
+    cases = [
+        (((n, w),) * m, d)
+        for m in range(1, 5)
+        for n in range(0, 10)
+        for w in range(0, n + 1)
+        for d in range(-2, 2 * m * n + 3)
+    ]
+    cases += [
+        (parts, d)
+        for parts in HETEROGENEOUS_PROFILES
+        for d in range(-2, 2 * sum(n for n, _ in parts) + 3)
+    ]
+    random.Random(20141).shuffle(cases)
+    bounds_mod._JOHNSON_ROWS.clear()
+    for parts, d in cases:
+        assert johnson_general_pair(parts, d) == reference_johnson_general(parts, d), (parts, d)
+
+
+@pytest.mark.parametrize("parts", [((9, 4),) * 4] + list(HETEROGENEOUS_PROFILES[3:]))
+def test_johnson_general_sweep_order_does_not_matter(parts):
+    top = 2 * sum(n for n, _ in parts) + 2
+    bounds_mod._JOHNSON_ROWS.clear()
+    descending = [johnson_general_pair(parts, top - 4)]
+    descending += [johnson_general_pair(parts, d) for d in range(top, -3, -1)]
+    bounds_mod._JOHNSON_ROWS.clear()
+    ascending = [johnson_general_pair(parts, d) for d in range(-2, top + 1)]
+    assert descending[1:] == ascending[::-1]
+    assert descending[0] == ascending[top - 4 + 2]
 
 
 # ---------- power bounds ----------

@@ -304,6 +304,16 @@ BAD_REFS = {
         ["curves", "--grid-start", "0.4", "--grid-end", "0.1"],
         # ~5e11 points: refused before the grid is built
         ["curves", "--grid-step", "1e-12"],
+        ["bound", "--m", "2", "--n", "4", "--d", "4", "--w", "-1"],
+        ["bound", "--m", "2", "--n", "-3", "--d", "4", "--w", "0"],
+        ["bound", "--m", "2", "--n", "4", "--d", "4", "--w", "2", "--budget", "-5"],
+        ["bound", "--m", "2", "--n", "4", "--d", "4", "--w", "2", "--vertex-cap", "-1"],
+        ["table", "--m", "3..1", "--n", "2", "--w", "1"],
+        ["table", "--m", "1", "--n", "5..3", "--w", "1"],
+        ["table", "--m", "1", "--n", "4", "--w", "-1"],
+        ["table", "--m", "1", "--n", "4", "--w", "1", "--budget", "-1"],
+        # no point of the grid lies in any curve's domain
+        ["curves", "--grid-start", "-5", "--grid-end", "-1", "--grid-step", "1"],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
@@ -313,6 +323,21 @@ def test_bad_input_exit_2(argv, tmp_path, capsys):
     assert status == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--m", "2", "--n", "4", "--d", "4", "--w", "2", "--budget", "0"],
+        ["bound", "--m", "2", "--n", "4", "--d", "4", "--w", "2", "--vertex-cap", "0"],
+        ["bound", "--m", "2", "--n", "4", "--d", "-2", "--w", "2"],
+        ["bound", "--m", "1", "--n", "0", "--d", "0", "--w", "0"],
+    ],
+)
+def test_zero_limits_and_nonpositive_d_stay_valid(argv, capsys):
+    status, out, err = run(argv, capsys)
+    assert status == 0 and err == ""
+    assert out.startswith("lower=")
 
 
 def test_large_power_cell_is_exact_without_witness(capsys):
