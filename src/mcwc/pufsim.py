@@ -11,13 +11,19 @@ creation, so every noise-free sum is exact in double precision regardless of
 summation order: statements like "the deterministic delay difference is
 exactly zero" are then bit-level facts, not tolerance checks.
 
-Randomness uses the counter-based Philox generator with explicit seeds; all
-per-pair measurement streams are spawned deterministically, so results do not
-depend on evaluation order.
+Randomness uses the counter-based Philox generator with explicit seeds.  In a
+reliability sweep, pair k draws from the stream SeedSequence(seed).spawn(P)[k],
+built directly from its spawn key, so the pairs are drawn on worker threads
+(one per usable CPU) and the result does not depend on the worker count or on
+the order in which pairs finish.  MAX_TRIALS and MAX_PAIR_TRIALS cap a sweep's
+memory and work before any draw.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -27,6 +33,11 @@ import numpy as np
 from .codes import BinaryCode, CodeError, word_blocks
 
 QUANTUM = 2.0**-30
+# Each sweep worker holds 17 bytes per trial (two float64 noise rows and a bool
+# mask), so MAX_TRIALS bounds a worker at 17 MB; MAX_PAIR_TRIALS bounds the
+# sweep at 2e9 normal draws.
+MAX_TRIALS = 1_000_000
+MAX_PAIR_TRIALS = 1_000_000_000
 
 
 class ModelError(ValueError):
@@ -39,6 +50,13 @@ def _rng(seed) -> np.random.Generator:
 
 def _quantize(x: np.ndarray) -> np.ndarray:
     return np.round(np.asarray(x, dtype=float) / QUANTUM) * QUANTUM
+
+
+def _check_noise_and_seed(noise_sigma: float, seed: int) -> None:
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ModelError(f"noise scale must be finite and nonnegative, got {noise_sigma}")
+    if seed < 0:
+        raise ModelError(f"seed must be nonnegative, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +77,15 @@ class DelayModel:
         return self.eps.shape[1]
 
 
+def _frozen_model(mu: np.ndarray, eps: np.ndarray, noise_sigma: float, seed: int) -> DelayModel:
+    if not (np.isfinite(mu).all() and np.isfinite(eps).all()):
+        raise ModelError("delays must be finite")
+    model = DelayModel(mu, eps, float(noise_sigma), int(seed))
+    model.mu.setflags(write=False)
+    model.eps.setflags(write=False)
+    return model
+
+
 def device_new(
     m: int,
     n: int,
@@ -71,8 +98,9 @@ def device_new(
     or a full (m, 2) array; eps is seed-dependent with scale s_eps."""
     if m < 1 or n < 1:
         raise ModelError(f"bad grid {m} x {n}")
-    if s_eps < 0 or noise_sigma < 0:
-        raise ModelError("scales must be nonnegative")
+    if not 0.0 <= s_eps < math.inf:
+        raise ModelError(f"offset scale must be finite and nonnegative, got {s_eps}")
+    _check_noise_and_seed(noise_sigma, seed)
     spec = np.asarray(mu_spec, dtype=float)
     if spec.ndim == 0:
         mu = np.full((m, 2), float(spec))
@@ -83,10 +111,7 @@ def device_new(
     else:
         raise ModelError(f"mu_spec shape {spec.shape} not scalar, (2,) or ({m}, 2)")
     eps = _rng(seed).normal(0.0, 1.0, size=(m, n, 2)) * s_eps if s_eps > 0 else np.zeros((m, n, 2))
-    model = DelayModel(_quantize(mu), _quantize(eps), float(noise_sigma), int(seed))
-    model.mu.setflags(write=False)
-    model.eps.setflags(write=False)
-    return model
+    return _frozen_model(_quantize(mu), _quantize(eps), noise_sigma, seed)
 
 
 def word_matrix(dev: DelayModel, code: BinaryCode, word: int) -> np.ndarray:
@@ -200,39 +225,120 @@ def reliability_sweep(
     """Monte-Carlo flip rates per unordered pair, bucketed by Hamming distance.
 
     Each trial re-measures both words with independent noise and compares the
-    sign against the noise-free reference.  Pair streams are spawned from the
-    root seed, so the result is independent of iteration order.
+    sign against the noise-free reference.  Pair k draws from child k of
+    SeedSequence(seed), on one worker thread per usable CPU; the result is the
+    same for any worker count.
     """
+    return _sweep(dev, code, noise_sigma, trials, seed, _usable_cpus())
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep(dev, code, noise_sigma, trials, seed, workers) -> SweepResult:
+    """reliability_sweep on at most `workers` threads."""
     if trials < 1:
         raise ModelError("need at least one trial")
-    if noise_sigma < 0:
-        raise ModelError("noise must be nonnegative")
+    if trials > MAX_TRIALS:
+        raise ModelError(f"{trials} trials per pair exceeds MAX_TRIALS ({MAX_TRIALS})")
+    _check_noise_and_seed(noise_sigma, seed)
     words = code.words
+    pair_count = len(words) * (len(words) - 1) // 2
+    if pair_count * trials > MAX_PAIR_TRIALS:
+        raise ModelError(
+            f"{pair_count} pairs x {trials} trials exceeds MAX_PAIR_TRIALS ({MAX_PAIR_TRIALS})"
+        )
     matrices = [word_matrix(dev, code, wd) for wd in words]
     delays = [measure_delay(dev, mat, noisy=False) for mat in matrices]
 
     pair_list = list(combinations(range(len(words)), 2))
-    streams = np.random.SeedSequence(seed).spawn(len(pair_list))
+    refs = [delays[i] - delays[j] for i, j in pair_list]
+    flips = [0] * pair_count
+    if noise_sigma > 0.0:
+        jobs = [(idx, ref) for idx, ref in enumerate(refs) if ref != 0.0]
+        _count_flips(jobs, flips, noise_sigma, trials, seed, workers)
     pairs = []
     sums: dict[int, list[float]] = {}
-    for idx, (i, j) in enumerate(pair_list):
+    for idx, ((i, j), ref) in enumerate(zip(pair_list, refs)):
         dist = (words[i] ^ words[j]).bit_count()
-        ref = delays[i] - delays[j]
         if ref == 0.0:
             pairs.append(PairReliability(idx, i, j, dist, False, float("nan")))
             continue
-        if noise_sigma == 0.0:
-            flip_rate = 0.0
-        else:
-            rng = np.random.Generator(np.random.Philox(streams[idx]))
-            noise = rng.normal(0.0, noise_sigma, size=(2, trials))
-            noisy = ref + noise[0] - noise[1]
-            flip_rate = float(np.count_nonzero(np.sign(noisy) != np.sign(ref))) / trials
+        flip_rate = flips[idx] / trials
         pairs.append(PairReliability(idx, i, j, dist, True, flip_rate))
         sums.setdefault(dist, []).append(flip_rate)
 
     bucket_means = {dist: float(np.mean(rates)) for dist, rates in sorted(sums.items())}
     return SweepResult(tuple(pairs), bucket_means, noise_sigma, trials, seed)
+
+
+def _count_flips(jobs, flips, noise_sigma, trials, seed, workers) -> None:
+    """Set flips[idx] for every (idx, ref) job, on at most `workers` threads.
+
+    Workers take jobs from one shared iterator and write only their jobs'
+    entries.  numpy draws with the interpreter lock released and each pair has
+    its own bit generator, so the workers share no lock but the iterator's.
+    Once a worker raises, the others stop at their next job; the first error
+    is raised here after every worker has ended.
+    """
+    workers = min(workers, len(jobs))
+    if workers == 0:
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pending = iter(jobs)
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def work() -> None:
+        buf = np.empty((2, trials))
+        mask = np.empty(trials, dtype=bool)
+        try:
+            while not failed.is_set():
+                with lock:
+                    job = next(pending, None)
+                if job is None:
+                    return
+                idx, ref = job
+                flips[idx] = _pair_flips(seed, idx, ref, noise_sigma, buf, mask)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(workers, thread_name_prefix="mcwc-sweep") as pool:
+        futures = [pool.submit(work) for _ in range(workers)]
+        try:
+            errors = [f.exception() for f in futures]
+        except BaseException:  # interrupted while waiting: stop the workers early too
+            failed.set()
+            raise
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _pair_flips(seed, idx, ref, noise_sigma, buf, mask) -> int:
+    """Trials (columns of buf) in which pair idx's noisy difference loses the sign of ref.
+
+    standard_normal scaled in place is bit-equal to normal(0, noise_sigma),
+    and the difference is formed as (ref + n0) - n1, as a plain expression
+    would, so the counts match an unthreaded loop exactly.
+    """
+    stream = np.random.SeedSequence(seed, spawn_key=(idx,))  # == .spawn(P)[idx]
+    np.random.Generator(np.random.Philox(stream)).standard_normal(out=buf)
+    buf *= noise_sigma
+    noisy = buf[0]
+    noisy += ref
+    noisy -= buf[1]
+    if ref > 0.0:
+        np.less_equal(noisy, 0.0, out=mask)
+    else:
+        np.greater_equal(noisy, 0.0, out=mask)
+    return int(np.count_nonzero(mask))
 
 
 # ---------- device files (JSON, round-trip exact via repr floats) ----------
@@ -256,12 +362,18 @@ def device_load(path) -> DelayModel:
     import json
 
     with open(path) as f:
-        payload = json.load(f)
-    mu = np.array(payload["mu"], dtype=float)
-    eps = np.array(payload["eps"], dtype=float)
-    if mu.shape != (payload["m"], 2) or eps.shape != (payload["m"], payload["n"], 2):
+        try:
+            payload = json.load(f)
+            m, n = payload["m"], payload["n"]
+            mu = np.array(payload["mu"], dtype=float)
+            eps = np.array(payload["eps"], dtype=float)
+            noise_sigma = float(payload["noise_sigma"])
+            seed = int(payload["seed"])
+        except KeyError as exc:
+            raise ModelError(f"device file {path} has no {exc} entry") from None
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"device file {path} is malformed: {exc}") from None
+    if mu.shape != (m, 2) or eps.shape != (m, n, 2):
         raise ModelError("device file shapes are inconsistent")
-    model = DelayModel(mu, eps, float(payload["noise_sigma"]), int(payload["seed"]))
-    model.mu.setflags(write=False)
-    model.eps.setflags(write=False)
-    return model
+    _check_noise_and_seed(noise_sigma, seed)
+    return _frozen_model(mu, eps, noise_sigma, seed)

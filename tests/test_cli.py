@@ -282,6 +282,15 @@ BAD_REFS = {
     "conflict": "kind,q,n,d,w,lower,upper,source\nA,2,5,4,2,,2,a\nA,2,5,4,2,3,,b\n",
 }
 
+PUF_FILES = {
+    "puf_code.txt": "# code q=2 len=8 d=2 profile=4:2,4:2\n11001100\n10100101\n01010011\n",
+    "nan_mu.json": '{"m": 2, "n": 4, "mu": [[NaN, 1.05], [1.0, 1.05]], "eps": %s, '
+                   '"noise_sigma": 0.001, "seed": 0}',
+    "no_mu.json": '{"m": 2, "n": 4, "eps": %s, "noise_sigma": 0.001, "seed": 0}',
+}
+ZERO_EPS = str([[[0.0, 0.0]] * 4] * 2)
+PUF_SIM = ["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "10"]
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -314,11 +323,29 @@ BAD_REFS = {
         ["table", "--m", "1", "--n", "4", "--w", "1", "--budget", "-1"],
         # no point of the grid lies in any curve's domain
         ["curves", "--grid-start", "-5", "--grid-end", "-1", "--grid-step", "1"],
+    ]
+    + [
+        PUF_SIM + [option, value]
+        for option, value in [
+            ("--noise", "nan"),
+            ("--noise", "inf"),
+            ("--s-eps", "nan"),
+            ("--s-eps", "inf"),
+            ("--mu0", "nan"),
+            ("--mu1", "inf"),
+            ("--seed", "-1"),
+            ("--load-device", "{tmp}/nan_mu.json"),
+            ("--load-device", "{tmp}/no_mu.json"),
+            # over the per-pair trial cap: refused before any buffer is allocated
+            ("--trials", "1000000000000000"),
+        ]
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
     for name, text in BAD_REFS.items():
         (tmp_path / f"{name}.csv").write_text(text)
+    for name, text in PUF_FILES.items():
+        (tmp_path / name).write_text(text.replace("%s", ZERO_EPS))
     status, _, err = run([a.format(tmp=tmp_path) for a in argv], capsys)
     assert status == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -1,14 +1,22 @@
 """Delay-model tests: exact decomposition identities and reliability statistics."""
 
 import math
+import sys
+import threading
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from mcwc import pufsim
 from mcwc.codes import BinaryCode, WeightProfile
 from mcwc.designs import affine_plane, design_to_mcwc
 from mcwc.pufsim import (
+    MAX_PAIR_TRIALS,
+    MAX_TRIALS,
     ModelError,
+    PairReliability,
+    SweepResult,
     deterministic_difference,
     device_load,
     device_new,
@@ -59,6 +67,43 @@ def test_bad_parameters():
         device_new(2, 4, np.zeros((3, 3)))
     with pytest.raises(ModelError):
         device_new(2, 4, 1.0, s_eps=-1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"s_eps": math.nan},
+        {"s_eps": math.inf},
+        {"noise_sigma": math.nan},
+        {"noise_sigma": math.inf},
+        {"mu_spec": (math.nan, 1.05)},
+        {"mu_spec": (1.0, math.inf)},
+        {"seed": -1},
+    ],
+)
+def test_device_new_rejects_non_finite_and_negative_seed(kwargs):
+    with pytest.raises(ModelError):
+        device_new(2, 4, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "noise, trials, seed",
+    [(math.nan, 10, 0), (math.inf, 10, 0), (1e-3, 10, -1), (1e-3, MAX_TRIALS + 1, 0)],
+)
+def test_sweep_rejects_bad_input(noise, trials, seed):
+    dev = device_new(2, 4, (1.0, 1.05), s_eps=1e-3, seed=8)
+    with pytest.raises(ModelError):
+        reliability_sweep(dev, MCWC_242, noise, trials, seed=seed)
+
+
+def test_sweep_pair_trials_cap():
+    code = all_words_code(2, 8, 2)  # 784 words, 306,936 pairs
+    pairs = len(code.words) * (len(code.words) - 1) // 2
+    trials = MAX_PAIR_TRIALS // pairs + 1
+    assert trials <= MAX_TRIALS
+    dev = device_new(2, 8, (1.0, 1.05), s_eps=1e-3, seed=0)
+    with pytest.raises(ModelError, match="MAX_PAIR_TRIALS"):
+        reliability_sweep(dev, code, 1e-3, trials)
 
 
 def test_flat_model_delay_is_grid_size():
@@ -204,3 +249,162 @@ def test_word_matrix_shape_mismatch():
         word_matrix(dev, MCWC_242, MCWC_242.words[0])
     with pytest.raises(ModelError):
         measure_delay(dev, np.zeros((2, 4), dtype=int))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"m": 2, "n": 4, "mu": [[NaN, 1.0], [1.0, 1.0]], "eps": %s, "noise_sigma": 0.0, "seed": 0}',
+        '{"m": 2, "n": 4, "eps": %s, "noise_sigma": 0.0, "seed": 0}',
+        '{"m": 2, "n": 4, "mu": [[1.0, 1.0], [1.0, 1.0]], "eps": %s, "noise_sigma": -1, "seed": 0}',
+        '{"m": 2, "n": 4, "mu": [[1.0, 1.0], [1.0, 1.0]], "eps": %s, "noise_sigma": 0, "seed": -3}',
+        '{"m": 2, "n": 4, "mu": "x", "eps": %s, "noise_sigma": 0.0, "seed": 0}',
+        '[1, 2]',
+        '{"m": 2,',
+    ],
+)
+def test_device_load_rejects_bad_files(payload, tmp_path):
+    path = tmp_path / "device.json"
+    path.write_text(payload.replace("%s", str(np.zeros((2, 4, 2)).tolist())))
+    with pytest.raises(ModelError):
+        device_load(path)
+
+
+# ---------- the threaded sweep against the unthreaded loop it replaced ----------
+
+def reference_sweep(dev, code, noise_sigma, trials, seed=0):
+    """The single-threaded per-pair loop: all P streams spawned up front."""
+    words = code.words
+    matrices = [word_matrix(dev, code, wd) for wd in words]
+    delays = [measure_delay(dev, mat, noisy=False) for mat in matrices]
+
+    pair_list = list(combinations(range(len(words)), 2))
+    streams = np.random.SeedSequence(seed).spawn(len(pair_list))
+    pairs = []
+    sums = {}
+    for idx, (i, j) in enumerate(pair_list):
+        dist = (words[i] ^ words[j]).bit_count()
+        ref = delays[i] - delays[j]
+        if ref == 0.0:
+            pairs.append(PairReliability(idx, i, j, dist, False, float("nan")))
+            continue
+        if noise_sigma == 0.0:
+            flip_rate = 0.0
+        else:
+            rng = np.random.Generator(np.random.Philox(streams[idx]))
+            noise = rng.normal(0.0, noise_sigma, size=(2, trials))
+            noisy = ref + noise[0] - noise[1]
+            flip_rate = float(np.count_nonzero(np.sign(noisy) != np.sign(ref))) / trials
+        pairs.append(PairReliability(idx, i, j, dist, True, flip_rate))
+        sums.setdefault(dist, []).append(flip_rate)
+
+    bucket_means = {dist: float(np.mean(rates)) for dist, rates in sorted(sums.items())}
+    return SweepResult(tuple(pairs), bucket_means, noise_sigma, trials, seed)
+
+
+def sweep_key(result):
+    """A SweepResult with every float as its repr, so NaN equals NaN and -0.0 differs from 0.0."""
+    pairs = [
+        (p.pair_index, p.u_index, p.v_index, p.distance, p.usable, repr(p.flip_rate))
+        for p in result.pairs
+    ]
+    buckets = [(d, repr(r)) for d, r in result.bucket_means.items()]
+    return pairs, buckets, repr(result.noise_sigma), result.trials, result.seed
+
+
+def sweep_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("mcwc-sweep")]
+
+
+SWEEP_CASES = [
+    # (device arguments, code, noise sigma, trials, sweep seed)
+    ((2, 4, (1.0, 1.05), 1e-3, 8), MCWC_242, 1e-3, 500, 42),
+    ((2, 4, (1.0, 1.05), 1e-3, 3), all_words_code(2, 4, 2), 1e-3, 301, 0),
+    ((2, 4, (1.0, 1.05), 1e-3, 4), all_words_code(2, 4, 2), 2e-3, 64, 7),
+    ((2, 4, (1.0, 1.05), 1e-3, 5), all_words_code(2, 4, 2), 5e-4, 1, 2**40),
+    ((2, 4, (1.0, 1.05), 1e-3, 6), all_words_code(2, 4, 2), 0.0, 50, 1),  # sigma = 0
+    ((2, 4, 1.0, 0.0, 1), all_words_code(2, 4, 2), 1e-3, 50, 3),  # flat: every pair tied
+    ((1, 6, (1.0, 1.25), 1e-3, 9), all_words_code(1, 6, 3), 1e-3, 1000, 11),
+]
+
+
+@pytest.mark.parametrize("case", range(len(SWEEP_CASES)))
+def test_threaded_sweep_matches_reference(case):
+    (m, n, mu, s_eps, dev_seed), code, sigma, trials, seed = SWEEP_CASES[case]
+    dev = device_new(m, n, mu, s_eps=s_eps, seed=dev_seed)
+    expected = sweep_key(reference_sweep(dev, code, sigma, trials, seed))
+    assert sweep_key(reliability_sweep(dev, code, sigma, trials, seed)) == expected
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 5):  # 5: more workers than cores
+            got = pufsim._sweep(dev, code, sigma, trials, seed, workers)
+            assert sweep_key(got) == expected, workers
+    finally:
+        sys.setswitchinterval(interval)
+    assert not sweep_threads()
+
+
+def test_flat_device_sweep_has_no_usable_pair():
+    dev = device_new(2, 4, 1.0, s_eps=0.0, seed=1)
+    sweep = reliability_sweep(dev, all_words_code(2, 4, 2), 1e-3, 50, seed=3)
+    assert sweep.pairs and not any(p.usable for p in sweep.pairs)
+    assert sweep.bucket_means == {}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_worker_error_reaches_caller(workers, monkeypatch):
+    real = pufsim._pair_flips
+    done = []
+
+    def faulty(seed, idx, *rest):
+        if idx == 7:
+            raise RuntimeError("injected fault at pair 7")
+        done.append(idx)
+        return real(seed, idx, *rest)
+
+    monkeypatch.setattr(pufsim, "_pair_flips", faulty)
+    dev = device_new(2, 4, (1.0, 1.05), s_eps=1e-3, seed=3)
+    code = all_words_code(2, 4, 2)  # 630 pairs
+    with pytest.raises(RuntimeError, match="pair 7"):
+        pufsim._sweep(dev, code, 1e-3, 200, 0, workers)
+    # the other workers stop at their next pair instead of finishing the sweep
+    assert len(done) < 630 - 1
+    assert not sweep_threads()
+
+
+def test_flip_counts_match_closed_form():
+    """Each usable pair flips with probability Phi(-|D|/(sigma*sqrt(2))).
+
+    Same tolerance as the benchmark oracle: 7 binomial sd + 3 per pair and
+    5 sd + 1 over the sweep; the reference gap D is summed here with fsum.
+    """
+    sigma, trials = 1e-3, 2000
+    code = all_words_code(2, 5, 2)  # 100 words, 4950 pairs
+    words = code.words[::3]  # 34 words, 561 pairs
+    code = BinaryCode.from_words(words, code.length, 2, code.profile)
+    dev = device_new(2, 5, (1.0, 1.05), s_eps=1e-3, seed=21)
+    delays = []
+    for wd in code.words:
+        bits = word_matrix(dev, code, wd)
+        delays.append(math.fsum(
+            dev.mu[i, bits[i, j]] + dev.eps[i, j, bits[i, j]]
+            for i in range(dev.m) for j in range(dev.n)
+        ))
+    sweep = reliability_sweep(dev, code, sigma, trials, seed=5)
+    assert len(sweep.pairs) == 561
+    expected = variance = observed = 0.0
+    for p in sweep.pairs:
+        delta = delays[p.u_index] - delays[p.v_index]
+        assert p.usable == (delta != 0.0)
+        if not p.usable:
+            continue
+        prob = 0.5 * math.erfc(abs(delta) / (2.0 * sigma))
+        count = round(p.flip_rate * trials)
+        mean, var = trials * prob, trials * prob * (1.0 - prob)
+        assert abs(count - mean) <= 7.0 * math.sqrt(var) + 3.0, (p, prob)
+        expected += mean
+        variance += var
+        observed += count
+    assert expected > 1000  # the test sees real flips, not only near-certain pairs
+    assert abs(observed - expected) <= 5.0 * math.sqrt(variance) + 1.0
