@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bounds import ReferenceStore, default_references
+from .bounds import default_references
 
 
 class DomainError(ValueError):
@@ -69,11 +69,10 @@ class InnerCode:
     q: int
     label: str
 
-    def validate(self, references: ReferenceStore | None = None) -> None:
+    def validate(self) -> None:
         if self.w * 2 != self.n:
             raise DomainError(f"{self.label}: weight must be n/2")
-        refs = references if references is not None else default_references()
-        ref = refs.cwc(self.n, self.d, self.w)
+        ref = default_references().cwc(self.n, self.d, self.w)
         if ref is None or ref.lower is None or self.q > ref.lower:
             raise DomainError(
                 f"{self.label}: size {self.q} not supported by ingested A({self.n},{self.d},{self.w})"
@@ -167,9 +166,7 @@ def emit_curves(
     return rows
 
 
-def write_curves_csv(f, rows, extra_comments: Sequence[str] = ()) -> None:
-    for line in extra_comments:
-        f.write(f"# {line}\n")
+def write_curves_csv(f, rows) -> None:
     f.write("curve,delta,rate\n")
     for name, t, rate in rows:
         f.write(f"{name},{t:.6g},{rate:.6g}\n")

@@ -568,9 +568,7 @@ class BoundTable:
     def cells(self) -> list[tuple[int, int, int, int]]:
         return sorted(self.records)
 
-    def write_csv(self, f: TextIO, extra_comments: Sequence[str] = ()) -> None:
-        for line in extra_comments:
-            f.write(f"# {line}\n")
+    def write_csv(self, f: TextIO) -> None:
         f.write("m,n,d,w,lower,upper,exact_flag,lower_provenance,upper_provenance\n")
         for cell in self.cells():
             m, n, d, w = cell
@@ -652,6 +650,14 @@ def evaluate_cell(
     # Upper bounds first (they include the exact power rule).  johnson_general is
     # never above johnson_homogeneous, singleton_like or johnson_closed_form.
     table.insert(johnson_general(WeightProfile.homogeneous(m, n, w), d))
+    d_eff, _ = _lift(d)
+    if d_eff <= 2:
+        # Distinct words of a common profile are always at distance >= 2, which
+        # meets the Johnson bound's membership count: no witness is needed.
+        table.insert(
+            _record(m, n, d, w, "lower", cell_profile_count, "all profile words")
+        )
+        return
     power_exact = tightness_exact(m, n, d, w)
     if power_exact is not None:
         table.insert(power_exact)
@@ -661,12 +667,6 @@ def evaluate_cell(
 
     # Constructions.
     table.insert(_record(m, n, d, w, "lower", 1, "single word"))
-    d_eff, _ = _lift(d)
-    if d_eff <= 2:
-        # Distinct words of a common profile are always at distance >= 2.
-        table.insert(
-            _record(m, n, d, w, "lower", cell_profile_count, "all profile words")
-        )
     if power_exact is None and w >= 1 and n % w == 0:
         # A power-exact record already carries an RS witness of the same size.
         q = n // w

@@ -63,6 +63,7 @@ from .designs import (
 from .gf import FieldError, field_for_order
 from .pufsim import (
     ModelError,
+    check_sweep_size,
     device_load,
     device_new,
     device_save,
@@ -146,6 +147,21 @@ def _resolve_qary(spec: str, inputs: list[str]) -> QaryCode:
     return code
 
 
+FAMILIES = ("affine", "one-factor")
+
+
+def _family_design(args):
+    """The --family design: affine reads its order from --q, one-factor from --v."""
+    affine = args.family == "affine"
+    order, unread = (args.q, args.v) if affine else (args.v, args.q)
+    flag, other = ("--q", "--v") if affine else ("--v", "--q")
+    if unread is not None:
+        raise UsageError(f"--family {args.family} takes {flag}, not {other}")
+    if order is None:
+        raise UsageError(f"--family {args.family} needs {flag}")
+    return affine_plane(order) if affine else one_factorization(order)
+
+
 # ---------- construct ----------
 
 def _cmd_construct(args) -> int:
@@ -162,8 +178,12 @@ def _cmd_construct(args) -> int:
     elif method == "qary-expand":
         result = qary_expand(_resolve_qary(args.code, inputs), args.w)
     elif method == "rs":
+        if args.w is not None and not args.expand:
+            raise UsageError("--w is the expansion's block weight: it needs --expand")
         rs = reed_solomon(field_for_order(args.q), args.len, args.d)
         if args.expand:
+            if args.w is None:
+                args.w = 1
             result = qary_expand(rs, args.w)
         else:
             manifest = _manifest(args, inputs)
@@ -172,14 +192,12 @@ def _cmd_construct(args) -> int:
             return 0
     elif method == "design":
         if args.file:
+            if args.q is not None or args.v is not None:
+                raise UsageError("--file takes no --q or --v: the file fixes the design")
             design = design_read_path(args.file)
             inputs.append(args.file)
-        elif args.family == "affine":
-            design = affine_plane(args.q)
-        elif args.family == "one-factor":
-            design = one_factorization(args.v)
         else:
-            raise DesignError("need --file or --family with its parameter")
+            design = _family_design(args)
         result = design_to_mcwc(design)
     else:  # pragma: no cover - argparse restricts choices
         raise ConstructionError(f"unknown method {method}")
@@ -207,6 +225,8 @@ def _cmd_verify(args) -> int:
         if isinstance(code, BinaryCode):
             profile = WeightProfile.parse(args.profile) if args.profile else code.profile
             code = BinaryCode(code.length, code.words, claimed, profile)
+        elif args.profile is not None:
+            raise CodeError(f"{args.file} is a q-ary code: --profile applies to binary codes only")
         else:
             code = QaryCode(code.q, code.length, code.words, claimed)
     report = verify_code(code)
@@ -227,22 +247,18 @@ def _cmd_verify(args) -> int:
 
 # ---------- design ----------
 
-def _cmd_design(args) -> int:
-    if args.action == "verify":
-        design = design_read_path(args.file)
-        verify_design(design, require_complete=not args.partial)
-        print(
-            f"design v={design.v} k={design.k} t={design.t} "
-            f"classes={len(design.classes)} expected_classes={design.expected_class_count()} ok"
-        )
-        return 0
-    # make
-    if args.family == "affine":
-        design = affine_plane(args.q)
-    elif args.family == "one-factor":
-        design = one_factorization(args.v)
-    else:
-        raise DesignError("choose --family affine (with --q) or one-factor (with --v)")
+def _cmd_design_verify(args) -> int:
+    design = design_read_path(args.file)
+    verify_design(design, require_complete=not args.partial)
+    print(
+        f"design v={design.v} k={design.k} t={design.t} "
+        f"classes={len(design.classes)} expected_classes={design.expected_class_count()} ok"
+    )
+    return 0
+
+
+def _cmd_design_make(args) -> int:
+    design = _family_design(args)
     manifest = _manifest(args, [])
     _write_output(args.out, lambda f: design_write(f, design), manifest)
     print(f"design v={design.v} k={design.k} t={design.t} classes={len(design.classes)}")
@@ -371,34 +387,40 @@ def _cmd_curves(args) -> int:
 
 # ---------- puf-sim ----------
 
+# Device model values puf-sim draws a device with; a loaded device carries its own.
+MODEL_DEFAULTS = {"s_eps": 1e-3, "mu0": 1.0, "mu1": 1.05}
+
+
 def _cmd_puf_sim(args) -> int:
+    if args.load_device:
+        given = [name for name in MODEL_DEFAULTS if getattr(args, name) is not None]
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise UsageError(f"{flags}: --load-device takes the device model from its file")
+    else:
+        for name, value in MODEL_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, value)
     inputs = [args.code]
     code = code_read_path(args.code)
     if not isinstance(code, BinaryCode) or code.profile is None:
         raise CodeError("puf-sim needs a binary code file with a weight profile")
+    check_sweep_size(len(code.words), args.trials)
     report = verify_code(code)
     if not report.passed:
         raise VerificationFailure(f"code fails its own claims: {report.summary()}")
 
-    m = code.profile.m
-    n = code.profile.parts[0][0]
-    if (args.m is not None and args.m != m) or (args.n is not None and args.n != n):
-        raise ModelError(
-            f"requested grid {args.m} x {args.n} does not match the code profile "
-            f"({m} x {n})"
-        )
     if args.load_device:
         dev = device_load(args.load_device)
         inputs.append(args.load_device)
     else:
         dev = device_new(
-            m, n, (args.mu0, args.mu1), s_eps=args.s_eps, seed=args.seed,
-            noise_sigma=args.noise,
+            code.profile.m, code.profile.parts[0][0], (args.mu0, args.mu1),
+            s_eps=args.s_eps, seed=args.seed, noise_sigma=args.noise,
         )
+    sweep = reliability_sweep(dev, code, args.noise, args.trials, seed=args.seed)
     if args.save_device:
         device_save(args.save_device, dev)
-
-    sweep = reliability_sweep(dev, code, args.noise, args.trials, seed=args.seed)
 
     def render(f):
         for dist, mean in sweep.bucket_means.items():
@@ -417,8 +439,17 @@ def _cmd_puf_sim(args) -> int:
 
 # ---------- parser ----------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and its subparsers, that match no option by prefix: without
+    this, an option a subcommand does not take could be read as a longer one
+    it does take (puf-sim --n as --noise)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcwc",
         description="Constructions, bounds, rate curves and a loop-PUF simulator "
         "for multiply constant-weight codes.",
@@ -428,6 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", help="output file (default: stdout)")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, help="search node budget")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--q", type=int, help="affine plane order (--family affine)")
+    family.add_argument("--v", type=int, help="one-factorization point count (--family one-factor)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build and verify a code")
@@ -451,12 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--len", type=int, required=True)
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--expand", action="store_true", help="also apply q-ary expansion")
-    c.add_argument("--w", type=int, default=1)
-    c = ps.add_parser("design", parents=[out])
-    c.add_argument("--family", choices=["affine", "one-factor"])
-    c.add_argument("--q", type=int, help="affine plane order")
-    c.add_argument("--v", type=int, help="one-factorization point count")
-    c.add_argument("--file", help="load an externally found design")
+    c.add_argument("--w", type=int, help="expansion block weight (needs --expand; default 1)")
+    c = ps.add_parser("design", parents=[out, family])
+    source = c.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", choices=FAMILIES)
+    source.add_argument("--file", help="load an externally found design")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="verify a code file")
@@ -465,15 +498,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", help="override the profile, e.g. 4:2,4:2")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("design", parents=[out], help="generate or verify designs")
-    p.add_argument("action", choices=["make", "verify"])
-    p.add_argument("file", nargs="?", help="design file (for verify)")
-    p.add_argument("--family", choices=["affine", "one-factor"])
-    p.add_argument("--q", type=int)
-    p.add_argument("--v", type=int)
-    p.add_argument("--partial", action="store_true",
+    p = sub.add_parser("design", help="generate or verify designs")
+    ps = p.add_subparsers(dest="action", required=True)
+    c = ps.add_parser("make", parents=[out, family])
+    c.add_argument("--family", choices=FAMILIES, required=True)
+    c.set_defaults(func=_cmd_design_make)
+    c = ps.add_parser("verify")
+    c.add_argument("file", help="design file")
+    c.add_argument("--partial", action="store_true",
                    help="accept a partial resolution (t-subsets covered at most once)")
-    p.set_defaults(func=_cmd_design)
+    c.set_defaults(func=_cmd_design_verify)
 
     p = sub.add_parser("bound", parents=[budget], help="bounds for one cell")
     p.add_argument("--m", type=int, required=True)
@@ -503,16 +537,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("puf-sim", parents=[out], help="loop-PUF reliability simulation")
     p.add_argument("--code", required=True, help="verified MCWC file")
-    p.add_argument("--m", type=int, help="expected device rows (checked against the code)")
-    p.add_argument("--n", type=int, help="expected device columns (checked against the code)")
-    p.add_argument("--s-eps", type=float, default=1e-3, help="element offset scale")
+    p.add_argument("--s-eps", type=float, help="element offset scale (default 1e-3)")
     p.add_argument("--noise", type=float, default=1e-3, help="measurement noise scale")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--mu0", type=float, default=1.0)
-    p.add_argument("--mu1", type=float, default=1.05)
-    p.add_argument("--save-device")
-    p.add_argument("--load-device")
+    p.add_argument("--mu0", type=float, help="row element delay under bit 0 (default 1.0)")
+    p.add_argument("--mu1", type=float, help="row element delay under bit 1 (default 1.05)")
+    p.add_argument("--save-device", help="write the device drawn or loaded, after the sweep")
+    p.add_argument("--load-device", help="device file; its model replaces --s-eps, --mu0, --mu1")
     p.set_defaults(func=_cmd_puf_sim)
 
     return parser

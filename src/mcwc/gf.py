@@ -161,7 +161,7 @@ def _log_tables(p: int, k: int, modulus: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def field_make(p: int, k: int, order_cap: int = DEFAULT_ORDER_CAP) -> Field:
+def field_make(p: int, k: int) -> Field:
     """Build GF(p^k) with the lexicographically smallest monic irreducible modulus.
 
     Candidate moduli x^k + c_{k-1} x^{k-1} + ... + c_0 are scanned in increasing
@@ -171,8 +171,8 @@ def field_make(p: int, k: int, order_cap: int = DEFAULT_ORDER_CAP) -> Field:
         raise FieldError(f"{p} is not prime")
     if k < 1:
         raise FieldError(f"extension degree must be >= 1, got {k}")
-    if p**k > order_cap:
-        raise FieldError(f"field order {p**k} exceeds cap {order_cap}")
+    if p**k > DEFAULT_ORDER_CAP:
+        raise FieldError(f"field order {p**k} exceeds cap {DEFAULT_ORDER_CAP}")
     for idx in range(p**k):
         poly = _digits(idx, p, k) + (1,)
         if _is_irreducible(poly, p):
@@ -180,9 +180,9 @@ def field_make(p: int, k: int, order_cap: int = DEFAULT_ORDER_CAP) -> Field:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-def field_for_order(q: int, order_cap: int = DEFAULT_ORDER_CAP) -> Field:
+def field_for_order(q: int) -> Field:
     """GF(q) for a prime-power q."""
     pk = prime_power(q)
     if pk is None:
         raise FieldError(f"{q} is not a prime power")
-    return field_make(pk[0], pk[1], order_cap)
+    return field_make(pk[0], pk[1])

@@ -15,8 +15,8 @@ Randomness uses the counter-based Philox generator with explicit seeds.  In a
 reliability sweep, pair k draws from the stream SeedSequence(seed).spawn(P)[k],
 built directly from its spawn key, so the pairs are drawn on worker threads
 (one per usable CPU) and the result does not depend on the worker count or on
-the order in which pairs finish.  MAX_TRIALS and MAX_PAIR_TRIALS cap a sweep's
-memory and work before any draw.
+the order in which pairs finish.  check_sweep_size caps a sweep's memory and
+work (MAX_TRIALS, MAX_PAIR_TRIALS) before any draw.
 """
 
 from __future__ import annotations
@@ -34,10 +34,13 @@ from .codes import BinaryCode, CodeError, word_blocks
 
 QUANTUM = 2.0**-30
 # Each sweep worker holds 17 bytes per trial (two float64 noise rows and a bool
-# mask), so MAX_TRIALS bounds a worker at 17 MB; MAX_PAIR_TRIALS bounds the
-# sweep at 2e9 normal draws.
+# mask), so MAX_TRIALS bounds a worker at 17 MB.  MAX_PAIR_TRIALS bounds the
+# sweep's work: each pair, tied or not, is charged its trials plus
+# PAIR_SETUP_TRIALS for its ~50 us of generator set-up and Python objects (about
+# the time of 1,500 trials), so a 1-trial sweep is capped at ~666k pairs.
 MAX_TRIALS = 1_000_000
 MAX_PAIR_TRIALS = 1_000_000_000
+PAIR_SETUP_TRIALS = 1_500
 
 
 class ModelError(ValueError):
@@ -239,19 +242,26 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sweep(dev, code, noise_sigma, trials, seed, workers) -> SweepResult:
-    """reliability_sweep on at most `workers` threads."""
+def check_sweep_size(word_count: int, trials: int) -> None:
+    """Raise ModelError unless a sweep of word_count words at trials per pair fits the caps."""
     if trials < 1:
         raise ModelError("need at least one trial")
     if trials > MAX_TRIALS:
         raise ModelError(f"{trials} trials per pair exceeds MAX_TRIALS ({MAX_TRIALS})")
+    pair_count = word_count * (word_count - 1) // 2
+    if pair_count * (trials + PAIR_SETUP_TRIALS) > MAX_PAIR_TRIALS:
+        raise ModelError(
+            f"{pair_count} pairs x ({trials} trials + {PAIR_SETUP_TRIALS} set-up) "
+            f"exceeds MAX_PAIR_TRIALS ({MAX_PAIR_TRIALS})"
+        )
+
+
+def _sweep(dev, code, noise_sigma, trials, seed, workers) -> SweepResult:
+    """reliability_sweep on at most `workers` threads."""
+    check_sweep_size(len(code.words), trials)
     _check_noise_and_seed(noise_sigma, seed)
     words = code.words
     pair_count = len(words) * (len(words) - 1) // 2
-    if pair_count * trials > MAX_PAIR_TRIALS:
-        raise ModelError(
-            f"{pair_count} pairs x {trials} trials exceeds MAX_PAIR_TRIALS ({MAX_PAIR_TRIALS})"
-        )
     matrices = [word_matrix(dev, code, wd) for wd in words]
     delays = [measure_delay(dev, mat, noisy=False) for mat in matrices]
 

@@ -464,6 +464,36 @@ def test_trivial_upper():
     assert rec.value == math.inf  # nothing ingested for A(24,6,9)
 
 
+def test_trivial_upper_computed_embedding_decides_cell():
+    # (2,4,6,2) embeds in the (1,8,6,4) cell, whose search completes at 2.
+    cell = (2, 4, 6, 2)
+    table = BoundTable()
+    evaluate_cell(table, 1, 8, 6, 4)
+    evaluate_cell(table, *cell)
+    assert table.exact_value(cell) == 2
+    assert table.best_upper(cell)[1] == (
+        "constant-weight embedding[computed clique-search[complete, nodes=1]]"
+    )
+    assert not any(r.provenance.startswith("clique-search") for r in table.records[cell])
+
+    alone = BoundTable()
+    evaluate_cell(alone, *cell)
+    assert alone.exact_value(cell) == 2
+    assert alone.best_upper(cell)[1] == "clique-search[complete, nodes=1]"
+
+
+def test_evaluate_cell_distance_two_needs_no_witness(monkeypatch):
+    def no_witness(*args, **kwargs):
+        raise AssertionError("a d <= 2 cell built a Reed-Solomon witness")
+
+    monkeypatch.setattr(bounds_mod, "rs_mcwc", no_witness)
+    table = BoundTable()
+    for cell, count in (((3, 32, 2, 1), 32**3), ((2, 3, 1, 1), 9), ((1, 4, 2, 4), 1)):
+        evaluate_cell(table, *cell, vertex_cap=0)
+        assert table.exact_value(cell) == count
+        assert table.best_lower(cell)[1] == "all profile words"
+
+
 # ---------- references ----------
 
 def test_reference_csv_round_trip():

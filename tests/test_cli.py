@@ -2,11 +2,14 @@
 
 import json
 import time
+from itertools import combinations
 
 import pytest
 
+from mcwc import cli
 from mcwc.cli import main
 from mcwc.codes import WeightProfile, code_read_path, verify_code
+from mcwc.pufsim import device_new, device_save
 
 
 def run(argv, capsys):
@@ -266,12 +269,25 @@ def test_usage_error_exit_code(capsys):
         ["construct", "--out", "f", "rs", "--q", "3", "--len", "2", "--d", "2"],
         ["bound", "--m", "1", "--n", "4", "--d", "2", "--w", "2", "--seed", "1"],
         ["curves", "--budget", "5"],
+        ["design", "make", "--family", "affine", "--q", "3", "--partial"],
+        ["design", "make", "--family", "affine", "--q", "3", "f.txt"],
+        ["design", "make", "--q", "3"],
+        ["design", "verify"],
+        ["design", "verify", "f", "--out", "x"],
+        ["design", "--family", "affine", "--q", "3"],
+        ["construct", "design", "--q", "3"],
+        ["construct", "design", "--family", "affine", "--q", "3", "--file", "f"],
+        ["puf-sim", "--code", "c.txt", "--m", "2"],
+        # no prefix matching: --n is not read as --noise
+        ["puf-sim", "--code", "c.txt", "--n", "4"],
     ],
 )
-def test_options_only_where_read(argv):
+def test_options_only_where_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mcwc") and "Traceback" not in err
 
 
 BAD_REFS = {
@@ -282,11 +298,15 @@ BAD_REFS = {
     "conflict": "kind,q,n,d,w,lower,upper,source\nA,2,5,4,2,,2,a\nA,2,5,4,2,3,,b\n",
 }
 
-PUF_FILES = {
+INPUT_FILES = {
     "puf_code.txt": "# code q=2 len=8 d=2 profile=4:2,4:2\n11001100\n10100101\n01010011\n",
     "nan_mu.json": '{"m": 2, "n": 4, "mu": [[NaN, 1.05], [1.0, 1.05]], "eps": %s, '
                    '"noise_sigma": 0.001, "seed": 0}',
     "no_mu.json": '{"m": 2, "n": 4, "eps": %s, "noise_sigma": 0.001, "seed": 0}',
+    "device.json": '{"m": 2, "n": 4, "mu": [[1.0, 1.05], [1.0, 1.05]], "eps": %s, '
+                   '"noise_sigma": 0.001, "seed": 0}',
+    "design.txt": "# design v=4 k=2 t=2\n0,1|2,3\n0,2|1,3\n0,3|1,2\n",
+    "qary.txt": "# code q=3 len=2 d=2 profile=none\n0,0\n1,1\n2,2\n",
 }
 ZERO_EPS = str([[[0.0, 0.0]] * 4] * 2)
 PUF_SIM = ["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "10"]
@@ -339,12 +359,29 @@ PUF_SIM = ["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "10"]
             # over the per-pair trial cap: refused before any buffer is allocated
             ("--trials", "1000000000000000"),
         ]
+    ]
+    + [
+        # argv35 on: a value the chosen mode would not read, or a missing order
+        ["design", "make", "--family", "affine"],
+        ["design", "make", "--family", "one-factor"],
+        ["design", "make", "--family", "affine", "--q", "3", "--v", "6"],
+        ["design", "make", "--family", "one-factor", "--v", "6", "--q", "3"],
+        ["construct", "design", "--family", "affine"],
+        ["construct", "design", "--family", "one-factor", "--q", "3"],
+        ["construct", "design", "--file", "{tmp}/design.txt", "--q", "3"],
+        ["construct", "design", "--file", "{tmp}/design.txt", "--v", "4"],
+        ["construct", "rs", "--q", "3", "--len", "2", "--d", "2", "--w", "7"],
+        ["verify", "{tmp}/qary.txt", "--profile", "9:9"],
+    ]
+    + [
+        PUF_SIM + ["--load-device", "{tmp}/device.json", option, "5"]
+        for option in ("--s-eps", "--mu0", "--mu1")
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
     for name, text in BAD_REFS.items():
         (tmp_path / f"{name}.csv").write_text(text)
-    for name, text in PUF_FILES.items():
+    for name, text in INPUT_FILES.items():
         (tmp_path / name).write_text(text.replace("%s", ZERO_EPS))
     status, _, err = run([a.format(tmp=tmp_path) for a in argv], capsys)
     assert status == 2
@@ -384,3 +421,71 @@ def test_manifest_names_command_once(capsys):
     assert manifest["command"] == "construct"
     assert "command" not in manifest["params"]
     assert manifest["params"]["method"] == "rs"
+
+
+def _many_words_code(path, count):
+    # count distinct weight-3 words of length 10: pairwise distance >= 2
+    words = ["".join("1" if j in support else "0" for j in range(10))
+             for support in list(combinations(range(10), 3))[:count]]
+    path.write_text("# code q=2 len=10 d=2 profile=10:3\n" + "\n".join(words) + "\n")
+
+
+@pytest.mark.parametrize(
+    "words, options",
+    [
+        (3, ["--trials", "0"]),
+        # 1,035 pairs x (10^6 trials + set-up) is over MAX_PAIR_TRIALS
+        (46, ["--trials", "1000000"]),
+        # a loaded device passes, then the sweep refuses the noise scale
+        (3, ["--noise", "nan", "--load-device", "{tmp}/loaded.json"]),
+    ],
+)
+def test_refused_sweep_saves_no_device(words, options, tmp_path, capsys):
+    code, device = tmp_path / "code.txt", tmp_path / "device.json"
+    _many_words_code(code, words)
+    device_save(tmp_path / "loaded.json", device_new(1, 10))
+    status, _, err = run(["puf-sim", "--code", str(code), "--save-device", str(device)]
+                         + [a.format(tmp=tmp_path) for a in options], capsys)
+    assert status == 2 and err.startswith("error: ModelError")
+    assert not device.exists()
+
+
+def test_sweep_size_checked_before_code_is_verified(tmp_path, capsys, monkeypatch):
+    def no_verify(code):
+        raise AssertionError("verified a code too large to sweep")
+
+    monkeypatch.setattr(cli, "verify_code", no_verify)
+    _many_words_code(tmp_path / "code.txt", 46)
+    status, _, err = run(["puf-sim", "--code", str(tmp_path / "code.txt"),
+                          "--trials", "1000000"], capsys)
+    assert status == 2 and "MAX_PAIR_TRIALS" in err
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (["construct", "rs", "--q", "3", "--len", "2", "--d", "2", "--expand"], ["--w", "1"]),
+        (["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "50", "--seed", "4"],
+         ["--s-eps", "0.001", "--mu0", "1.0", "--mu1", "1.05"]),
+    ],
+)
+def test_defaults_filled_before_manifest(argv, defaults, tmp_path, capsys):
+    # Leaving the defaults out writes the same bytes, manifest included.
+    (tmp_path / "puf_code.txt").write_text(INPUT_FILES["puf_code.txt"])
+    outs = []
+    for extra in ([], defaults):
+        status, out, _ = run([a.format(tmp=tmp_path) for a in argv + extra], capsys)
+        assert status == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_loaded_device_manifest_has_no_model_values(tmp_path, capsys):
+    (tmp_path / "puf_code.txt").write_text(INPUT_FILES["puf_code.txt"])
+    (tmp_path / "device.json").write_text(INPUT_FILES["device.json"].replace("%s", ZERO_EPS))
+    status, out, _ = run(["puf-sim", "--code", str(tmp_path / "puf_code.txt"),
+                          "--trials", "10", "--load-device", str(tmp_path / "device.json")],
+                         capsys)
+    assert status == 0
+    params = json.loads(out.splitlines()[0].removeprefix("# manifest: "))["params"]
+    assert not {"s_eps", "mu0", "mu1", "m", "n"} & set(params)

@@ -14,9 +14,11 @@ from mcwc.designs import affine_plane, design_to_mcwc
 from mcwc.pufsim import (
     MAX_PAIR_TRIALS,
     MAX_TRIALS,
+    PAIR_SETUP_TRIALS,
     ModelError,
     PairReliability,
     SweepResult,
+    check_sweep_size,
     deterministic_difference,
     device_load,
     device_new,
@@ -104,6 +106,22 @@ def test_sweep_pair_trials_cap():
     dev = device_new(2, 8, (1.0, 1.05), s_eps=1e-3, seed=0)
     with pytest.raises(ModelError, match="MAX_PAIR_TRIALS"):
         reliability_sweep(dev, code, 1e-3, trials)
+
+
+def test_sweep_cap_charges_pair_setup():
+    # At one trial per pair the set-up charge, not the draws, reaches the cap.
+    def charge(words):
+        return words * (words - 1) // 2 * (1 + PAIR_SETUP_TRIALS)
+
+    largest = 1154
+    assert charge(largest) <= MAX_PAIR_TRIALS < charge(largest + 1)
+    check_sweep_size(largest, 1)
+    with pytest.raises(ModelError, match="MAX_PAIR_TRIALS"):
+        check_sweep_size(largest + 1, 1)
+    code = all_words_code(1, 15, 4)  # 1365 words, 930,930 pairs
+    dev = device_new(1, 15, (1.0, 1.05), s_eps=1e-3, seed=0)
+    with pytest.raises(ModelError, match="MAX_PAIR_TRIALS"):
+        reliability_sweep(dev, code, 1e-3, 1)
 
 
 def test_flat_model_delay_is_grid_size():
