@@ -23,10 +23,11 @@ from math import comb
 from typing import Iterable, Sequence, TextIO
 
 from . import designs as designs_mod
-from .clique import ROW_BLOCK, max_clique, pack_rows
-from .codes import BinaryCode, WeightProfile
+from .clique import max_clique, pack_rows
+from .codes import BinaryCode, WeightProfile, distance_tiles, word_limbs
 from .constructions import (
     CONSTRUCTION_SIZE_CAP,
+    RS_SIZE_CAP,
     ConstructionError,
     concatenate,
     pseudo_product,
@@ -46,8 +47,6 @@ DEFAULT_VERTEX_CAP = 5000
 # lower bounds, never to wrong answers.
 TABLE_NODE_BUDGET = 200_000
 TABLE_VERTEX_CAP = 4000
-# Largest Reed-Solomon witness (q^s words) built and verified pairwise.
-RS_WITNESS_CAP = 64 * CONSTRUCTION_SIZE_CAP
 
 
 class ConsistencyError(RuntimeError):
@@ -280,14 +279,14 @@ def tightness_exact(m: int, n: int, d: int, w: int) -> BoundRecord | None:
     Conditions: s = m*w - d/2 + 1 in [1, m], w | n, and q = n/w a prime power
     with q >= m*w - 1.  The achieving code is actually built and verified; a
     size mismatch would be an internal bug.  None when q^s exceeds
-    RS_WITNESS_CAP, since the witness would be too large to verify pairwise.
+    RS_SIZE_CAP, since the witness would be too large to verify pairwise.
     """
     d_eff, note = _lift(d)
     if w < 1 or n % w:
         return None
     s = m * w - d_eff // 2 + 1
     q = n // w
-    if not 1 <= s <= m or q < m * w - 1 or prime_power(q) is None or q**s > RS_WITNESS_CAP:
+    if not 1 <= s <= m or q < m * w - 1 or prime_power(q) is None or q**s > RS_SIZE_CAP:
         return None
     witness = rs_mcwc(m, n, d_eff, w)
     if witness.size != q**s:
@@ -393,22 +392,13 @@ def _adjacency(words: Sequence[int], d: int) -> list[int]:
     """Bitmask rows of the graph joining distinct words at distance >= d."""
     import numpy as np  # imported on first use, as in mcwc.clique
 
-    v = len(words)
-    if v == 0:
+    if not words:
         return []
-    # Words may be wider than 64 bits (m*n > 64): split them into uint64 limbs.
-    limbs = max(1, (max(words).bit_length() + 63) // 64)
-    mask = (1 << 64) - 1
-    split = np.array(
-        [[(word >> (64 * k)) & mask for k in range(limbs)] for word in words],
-        dtype=np.uint64,
-    )
     adj: list[int] = []
-    for start in range(0, v, ROW_BLOCK):
-        block = split[start:start + ROW_BLOCK]
-        dist = np.bitwise_count(block[:, None, :] ^ split[None, :, :])
-        near = dist.sum(axis=2, dtype=np.int32) >= d
-        near[np.arange(len(block)), np.arange(start, start + len(block))] = False
+    for start, dist in distance_tiles(word_limbs(words, max(words).bit_length())):
+        near = dist >= d
+        rows = np.arange(len(near))
+        near[rows, start + rows] = False
         adj.extend(pack_rows(near))
     return adj
 
@@ -671,7 +661,7 @@ def evaluate_cell(
         # A power-exact record already carries an RS witness of the same size.
         q = n // w
         s = m * w - d_eff // 2 + 1
-        if s >= 1 and q**s <= RS_WITNESS_CAP:
+        if s >= 1 and q**s <= RS_SIZE_CAP:
             try:
                 witness = rs_mcwc(m, n, d_eff, w)
                 table.insert(

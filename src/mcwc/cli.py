@@ -217,9 +217,24 @@ def _cmd_construct(args) -> int:
 
 # ---------- verify ----------
 
+# Most word pairs one verify call checks unless --max-pairs raises it.
+MAX_VERIFY_PAIRS = 1_000_000_000
+
+
+def check_verify_pairs(word_count: int, max_pairs: int) -> None:
+    """Refuse a code with more than max_pairs pairs of words to check."""
+    pairs = word_count * (word_count - 1) // 2
+    if pairs > max_pairs:
+        raise UsageError(
+            f"{word_count} words give {pairs} pairs to verify, over the cap of "
+            f"{max_pairs}; raise it with --max-pairs"
+        )
+
+
 def _cmd_verify(args) -> int:
-    inputs = [args.file]
+    _check_least("--max-pairs", [args.max_pairs], 0)
     code = code_read_path(args.file)
+    check_verify_pairs(len(code.words), args.max_pairs)
     if args.d is not None or args.profile is not None:
         claimed = args.d if args.d is not None else code.claimed_distance
         if isinstance(code, BinaryCode):
@@ -419,8 +434,6 @@ def _cmd_puf_sim(args) -> int:
             s_eps=args.s_eps, seed=args.seed, noise_sigma=args.noise,
         )
     sweep = reliability_sweep(dev, code, args.noise, args.trials, seed=args.seed)
-    if args.save_device:
-        device_save(args.save_device, dev)
 
     def render(f):
         for dist, mean in sweep.bucket_means.items():
@@ -432,6 +445,9 @@ def _cmd_puf_sim(args) -> int:
             f.write(f"{p.pair_index},{p.distance},{rate}\n")
 
     _write_output(args.out, render, _manifest(args, inputs))
+    # Saved last, so a run refused at any step, --out included, leaves no device.
+    if args.save_device:
+        device_save(args.save_device, dev)
     buckets = " ".join(f"{d}:{r:.4g}" for d, r in sweep.bucket_means.items())
     print(f"pairs={len(sweep.pairs)} trials={args.trials} buckets[{buckets}]")
     return 0
@@ -496,6 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--d", type=int, help="override the claimed distance")
     p.add_argument("--profile", help="override the profile, e.g. 4:2,4:2")
+    p.add_argument("--max-pairs", type=int, default=MAX_VERIFY_PAIRS,
+                   help=f"most word pairs to check (default {MAX_VERIFY_PAIRS})")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("design", help="generate or verify designs")
@@ -543,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--mu0", type=float, help="row element delay under bit 0 (default 1.0)")
     p.add_argument("--mu1", type=float, help="row element delay under bit 1 (default 1.05)")
-    p.add_argument("--save-device", help="write the device drawn or loaded, after the sweep")
+    p.add_argument("--save-device", help="write the device drawn or loaded, after the output")
     p.add_argument("--load-device", help="device file; its model replaces --s-eps, --mu0, --mu1")
     p.set_defaults(func=_cmd_puf_sim)
 

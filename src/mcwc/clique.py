@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Rows handled per numpy call when building or relabelling bitmask rows; it
-# keeps temporaries to a few rows of V entries instead of a V x V array.
+# Rows handled per numpy call when relabelling bitmask rows; it keeps
+# temporaries to a few rows of V entries instead of a V x V array.
 ROW_BLOCK = 16
 
 

@@ -5,7 +5,9 @@ word left to right) is bit (length-1-j), so ``format(word, f"0{n}b")`` prints
 the word in natural order.  q-ary words are tuples of symbol indices.
 Verification reads a q-ary word as its indicator int (bit q*i + s set for
 symbol s at position i); two indicator ints differ in twice as many bits as
-their words differ in symbols, so one XOR-popcount loop serves both alphabets.
+their words differ in symbols, so one XOR-popcount kernel serves both
+alphabets.  The kernel splits words into uint64 limbs and works in numpy over
+row tiles of a bounded byte size.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 
 class CodeError(ValueError):
@@ -51,6 +53,15 @@ class WeightProfile:
 
     def is_homogeneous(self) -> bool:
         return len(set(self.parts)) == 1
+
+    def masks(self) -> tuple[int, ...]:
+        """Each block's bits within a packed word, leftmost block first."""
+        out = []
+        remaining = self.length
+        for n_i, _ in self.parts:
+            remaining -= n_i
+            out.append(((1 << n_i) - 1) << remaining)
+        return tuple(out)
 
     def describe(self) -> str:
         return ",".join(f"{n_i}:{w_i}" for n_i, w_i in self.parts)
@@ -231,37 +242,100 @@ class VerificationReport:
         )
 
 
-def _indicator_words(code: Code) -> tuple[Sequence[int], int]:
-    """Packed words whose XOR popcount is `scale` times the code's Hamming distance."""
+# Bytes of one XOR temporary in a distance tile (one limb of a tile's rows
+# against its columns): a tile's row count follows from the word count alone,
+# so its temporaries stay near this for any word width.
+TILE_BYTES = 1 << 18
+
+
+# numpy is imported inside the functions that use it, as in mcwc.clique.
+
+def word_limbs(words: Sequence[int], bits: int):
+    """Words of at most `bits` bits split into uint64 limbs, limb-major.
+
+    Row l holds limb l (bits 64l to 64l+63) of every word, so each limb of all
+    words is one contiguous numpy array.
+    """
+    import numpy as np
+
+    width = max(1, -(-bits // 64))
+    raw = b"".join(word.to_bytes(8 * width, "little") for word in words)
+    return np.ascontiguousarray(np.frombuffer(raw, dtype="<u8").reshape(len(words), width).T)
+
+
+def distance_tiles(limbs, later: bool = False) -> Iterator[tuple[int, object]]:
+    """Yield (start, dist) over consecutive tiles of the words of word_limbs.
+
+    dist[r, c] is the XOR popcount of words start + r and c, summed over the
+    limbs in the narrowest unsigned dtype that holds the word width.  With
+    `later` each tile is set against the words after its first word only:
+    dist[r, c] pairs words start + r and start + 1 + c, entries with c < r
+    hold the dtype's maximum (above any distance), and the last word, which
+    has no later word, starts no tile.
+    """
+    import numpy as np
+
+    width, count = limbs.shape
+    dtype = np.min_scalar_type(64 * width)
+    rows = max(1, min(count, TILE_BYTES // (8 * max(1, count))))
+    index = np.arange(rows)
+    below = index[:, None] > index  # c < r within a later tile
+    stop = count - 1 if later else count
+    for start in range(0, stop, rows):
+        end = min(start + rows, stop)
+        columns = start + 1 if later else 0
+        dist = np.zeros((end - start, count - columns), dtype=dtype)
+        for limb in limbs:
+            dist += np.bitwise_count(limb[start:end, None] ^ limb[None, columns:])
+        if later:
+            n = end - start
+            dist[:, :n][below[:n, :n]] = np.iinfo(dtype).max
+        yield start, dist
+
+
+def _indicator_limbs(code: Code) -> tuple[object, int]:
+    """word_limbs of words whose XOR popcount is `scale` times the code's Hamming distance."""
     if isinstance(code, BinaryCode):
-        return code.words, 1
+        return word_limbs(code.words, code.length), 1
     q = code.q
-    return [sum(1 << (q * i + s) for i, s in enumerate(wd)) for wd in code.words], 2
+    words = [sum(1 << (q * i + s) for i, s in enumerate(wd)) for wd in code.words]
+    return word_limbs(words, q * code.length), 2
 
 
 def verify_code(code: Code) -> VerificationReport:
-    """Exhaustively verify distance claim and (for binary codes) profile weights."""
+    """Exhaustively verify distance claim and (for binary codes) profile weights.
+
+    closest_pair is the lexicographically first pair (i, j), i < j, at the
+    minimum distance.
+    """
+    import numpy as np
+
     if len(code.words) == 0:
         raise CodeError("cannot verify an empty code")
 
+    limbs, scale = _indicator_limbs(code)
     violations: list[tuple[int, int, int, int]] = []
     if isinstance(code, BinaryCode) and code.profile is not None:
-        for wi, wd in enumerate(code.words):
-            for bi, (got, (_, want)) in enumerate(
-                zip(block_weights(wd, code.profile), code.profile.parts)
-            ):
-                if got != want:
-                    violations.append((wi, bi, got, want))
+        masks = word_limbs(code.profile.masks(), code.length).T
+        want = [w_i for _, w_i in code.profile.parts]
+        got = np.empty((len(code.words), len(want)), dtype=np.int64)
+        for bi, mask in enumerate(masks):
+            got[:, bi] = np.bitwise_count(limbs & mask[:, None]).sum(axis=0)
+        # nonzero lists the (word, block) entries in row-major order.
+        bad_words, bad_blocks = np.nonzero(got != want)
+        violations = [
+            (wi, bi, int(got[wi, bi]), want[bi])
+            for wi, bi in zip(bad_words.tolist(), bad_blocks.tolist())
+        ]
 
-    words, scale = _indicator_words(code)
     min_dist: float = math.inf
     closest = None
-    for i in range(len(words)):
-        wi = words[i]
-        for j in range(i + 1, len(words)):
-            d = (wi ^ words[j]).bit_count()
-            if d < min_dist:
-                min_dist, closest = d, (i, j)
+    for start, dist in distance_tiles(limbs, later=True):
+        # argmin takes the first minimum in row-major order, so with tiles in
+        # row order and a strict improvement test the first pair wins a tie.
+        r, c = divmod(int(dist.argmin()), dist.shape[1])
+        if dist[r, c] < min_dist:
+            min_dist, closest = int(dist[r, c]), (start + r, start + 1 + c)
     if closest is not None:
         min_dist //= scale
 

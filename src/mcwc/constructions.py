@@ -31,6 +31,9 @@ from .gf import Field, field_for_order, prime_power
 
 # Largest code the table's construction providers build and verify exhaustively.
 CONSTRUCTION_SIZE_CAP = 512
+# Largest Reed-Solomon code (q^k words) reed_solomon builds; the table's
+# power-exact witnesses, verified pairwise after expansion, stay under it too.
+RS_SIZE_CAP = 64 * CONSTRUCTION_SIZE_CAP
 
 
 class ConstructionError(ValueError):
@@ -244,36 +247,47 @@ def reed_solomon(field: Field, length: int, d: int) -> QaryCode:
     length q+1 is allowed, adding the coefficient of x^(k-1) as an extra
     coordinate (singly-extended code).  The code is MDS: minimum distance is
     verified to be exactly d via the minimum weight of the (linear) code.
+    A code of more than RS_SIZE_CAP words is refused before any is built.
     """
+    import numpy as np  # imported on first use, as in mcwc.clique
+
     q = field.q
     if not 1 <= d <= length:
         raise ConstructionError(f"need 1 <= d <= length, got d={d}, length={length}")
     if length > q + 1:
         raise ConstructionError(f"length {length} exceeds q+1 = {q + 1}")
     k = length - d + 1
+    if q**k > RS_SIZE_CAP:
+        raise ConstructionError(
+            f"RS({length},{k})_{q} has {q}^{k} = {q**k} words, over the cap of {RS_SIZE_CAP}"
+        )
     extended = length == q + 1
-    points = range(min(length, q))
 
-    words = []
-    for coeffs in product(range(q), repeat=k):  # little-endian polynomial
-        symbols = []
-        for x in points:
-            acc = 0
-            for c in reversed(coeffs):  # Horner
-                acc = field.add(field.mul(acc, x), c)
-            symbols.append(acc)
-        if extended:
-            symbols.append(coeffs[-1])
-        words.append(tuple(symbols))
+    # Row j holds the coefficient of x^j of every message, messages in
+    # product(range(q), repeat=k) order.
+    coeffs = np.indices((q,) * k, dtype=np.min_scalar_type(q - 1)).reshape(k, -1)
+    if k > 1:  # only Horner steps past the leading coefficient use the tables
+        add, mul = field.tables()
+    columns = []
+    for x in range(min(length, q)):
+        acc = coeffs[k - 1]  # Horner, from the leading coefficient
+        for j in range(k - 2, -1, -1):
+            acc = add[mul[acc, x], coeffs[j]]
+        columns.append(acc)
+    if extended:
+        columns.append(coeffs[k - 1])
+    words = np.stack(columns, axis=1)
 
-    code = QaryCode.from_words(words, q, length, d)
     # Linear code: min distance == min weight of a nonzero codeword.
-    min_wt = min(
-        (sum(s != 0 for s in wd) for wd in code.words if any(wd)), default=math.inf
-    )
-    if k >= 1 and min_wt != d:
+    weights = np.count_nonzero(words, axis=1)
+    min_wt = int(weights[weights > 0].min()) if weights.any() else math.inf
+    if min_wt != d:
         raise AssertionError(f"RS({length},{k})_{q}: min weight {min_wt} != {d}")
-    return code
+    words = words[np.lexsort(words.T[::-1])]
+    # Rows of one object array of Python ints, so equal symbols share one int
+    # (tolist would make an int for every symbol above 256, and a list a word).
+    symbols = np.array(range(q), dtype=object)
+    return QaryCode(q, length, tuple(map(tuple, symbols[words])), d)
 
 
 def rs_mcwc(m: int, n: int, d: int, w: int) -> ConstructionResult:

@@ -134,6 +134,26 @@ class Field:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self.exp[-self.log[a]]  # g^(2(q-1) - log a)
 
+    def tables(self):
+        """(add, mul): q-by-q numpy arrays with add[a, b] = a + b and mul[a, b] = a * b.
+
+        Built from the same log, exp and Zech tables as add and mul, in the
+        narrowest unsigned dtype that holds an element.
+        """
+        import numpy as np  # imported on first use, as in mcwc.clique
+
+        q = len(self.log)
+        exp, log, zech = (np.array(t) for t in (self.exp, self.log, self.zech))
+        la, lb = log[1:, None], log[None, 1:]
+        z = zech[lb - la]  # a negative index wraps modulo q-1, as in add
+        dtype = np.min_scalar_type(q - 1)
+        add = np.empty((q, q), dtype=dtype)
+        add[0, :] = add[:, 0] = np.arange(q)
+        add[1:, 1:] = np.where(z < 0, 0, exp[la + z])
+        mul = np.zeros((q, q), dtype=dtype)
+        mul[1:, 1:] = exp[la + lb]
+        return add, mul
+
 
 def _log_tables(p: int, k: int, modulus: tuple[int, ...]):
     """(exp, log, zech) over the smallest primitive element of GF(p^k)."""

@@ -13,6 +13,7 @@ import networkx as nx
 import pytest
 
 from mcwc import bounds as bounds_mod
+from mcwc import codes as codes_mod
 from mcwc.bounds import (
     BoundRecord,
     BoundTable,
@@ -397,6 +398,17 @@ def test_adjacency_matches_pairwise_oracle(bits):
         words = list({rng.getrandbits(bits) for _ in range(size)})
         for d in (1, 2, bits // 2, bits):
             assert bounds_mod._adjacency(words, d) == pairwise_adjacency(words, d)
+
+
+def test_adjacency_spans_tiles(monkeypatch):
+    rng = random.Random(5)
+    words = list({rng.getrandbits(24) for _ in range(700)})
+    assert len(words) > 10 * (codes_mod.TILE_BYTES // (8 * len(words)))
+    assert bounds_mod._adjacency(words, 12) == pairwise_adjacency(words, 12)
+    # One row per tile, across limbs.
+    monkeypatch.setattr(codes_mod, "TILE_BYTES", 64)
+    words = list({rng.getrandbits(130) for _ in range(80)})
+    assert bounds_mod._adjacency(words, 65) == pairwise_adjacency(words, 65)
 
 
 def test_evaluate_cell_skips_search_on_pinned_cell(monkeypatch):

@@ -376,6 +376,14 @@ PUF_SIM = ["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "10"]
     + [
         PUF_SIM + ["--load-device", "{tmp}/device.json", option, "5"]
         for option in ("--s-eps", "--mu0", "--mu1")
+    ]
+    + [
+        # argv48 on: 64^7 Reed-Solomon words, refused before any is built
+        ["construct", "rs", "--q", "64", "--len", "16", "--d", "10"],
+        ["construct", "rs", "--q", "64", "--len", "16", "--d", "10", "--expand"],
+        # three words give three pairs
+        ["verify", "{tmp}/qary.txt", "--max-pairs", "2"],
+        ["verify", "{tmp}/qary.txt", "--max-pairs", "-1"],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
@@ -438,6 +446,8 @@ def _many_words_code(path, count):
         (46, ["--trials", "1000000"]),
         # a loaded device passes, then the sweep refuses the noise scale
         (3, ["--noise", "nan", "--load-device", "{tmp}/loaded.json"]),
+        # the sweep runs, then --out cannot be opened
+        (3, ["--trials", "10", "--out", "{tmp}/missing/x.csv"]),
     ],
 )
 def test_refused_sweep_saves_no_device(words, options, tmp_path, capsys):
@@ -446,8 +456,27 @@ def test_refused_sweep_saves_no_device(words, options, tmp_path, capsys):
     device_save(tmp_path / "loaded.json", device_new(1, 10))
     status, _, err = run(["puf-sim", "--code", str(code), "--save-device", str(device)]
                          + [a.format(tmp=tmp_path) for a in options], capsys)
-    assert status == 2 and err.startswith("error: ModelError")
+    error = "FileNotFoundError" if "--out" in options else "ModelError"
+    assert status == 2 and err.startswith(f"error: {error}")
     assert not device.exists()
+
+
+def test_verify_pair_cap(tmp_path, capsys):
+    # C(44721, 2) = 999,961,560 pairs pass the default cap; C(44722, 2) do not.
+    cli.check_verify_pairs(44721, cli.MAX_VERIFY_PAIRS)
+    with pytest.raises(cli.UsageError) as refused:
+        cli.check_verify_pairs(44722, cli.MAX_VERIFY_PAIRS)
+    for part in ("1000006281 pairs", "cap of 1000000000", "--max-pairs"):
+        assert part in str(refused.value)
+
+    path = tmp_path / "qary.txt"
+    path.write_text(INPUT_FILES["qary.txt"])
+    status, out, _ = run(["verify", str(path), "--max-pairs", "3"], capsys)
+    assert status == 0 and json.loads(out)["passed"] is True
+    status, out, err = run(["verify", str(path), "--max-pairs", "2"], capsys)
+    assert status == 2 and out == ""
+    assert err == "error: UsageError: 3 words give 3 pairs to verify, over the cap of 2; " \
+                  "raise it with --max-pairs\n"
 
 
 def test_sweep_size_checked_before_code_is_verified(tmp_path, capsys, monkeypatch):

@@ -3,12 +3,14 @@
 import io
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcwc.codes as codes_mod
 from mcwc.codes import (
     BinaryCode,
     CodeError,
@@ -21,6 +23,7 @@ from mcwc.codes import (
     hamming,
     hamming_distance,
     restriction,
+    VerificationReport,
     verify_code,
     word_from_str,
     word_to_str,
@@ -144,6 +147,130 @@ def test_verify_matches_pairwise_oracle(seed):
         report = verify_code(code)
         oracle = _pairwise_oracle(as_sequences, code.claimed_distance)
         assert (report.min_distance, report.closest_pair, report.passed) == oracle
+
+
+def reference_verify(code):
+    """verify_code as a pairwise loop over packed ints: the oracle for the numpy kernel."""
+    violations = []
+    if isinstance(code, BinaryCode) and code.profile is not None:
+        for wi, wd in enumerate(code.words):
+            for bi, (got, (_, want)) in enumerate(
+                zip(block_weights(wd, code.profile), code.profile.parts)
+            ):
+                if got != want:
+                    violations.append((wi, bi, got, want))
+
+    if isinstance(code, BinaryCode):
+        words, scale = code.words, 1
+    else:
+        q = code.q
+        words = [sum(1 << (q * i + s) for i, s in enumerate(wd)) for wd in code.words]
+        scale = 2
+    min_dist = math.inf
+    closest = None
+    for i in range(len(words)):
+        wi = words[i]
+        for j in range(i + 1, len(words)):
+            d = (wi ^ words[j]).bit_count()
+            if d < min_dist:
+                min_dist, closest = d, (i, j)
+    if closest is not None:
+        min_dist //= scale
+
+    passed = min_dist >= code.claimed_distance and not violations
+    return VerificationReport(min_dist, code.claimed_distance, tuple(violations), closest, passed)
+
+
+def assert_matches_reference(code):
+    report = verify_code(code)
+    assert report == reference_verify(code)
+    # Python ints, not numpy scalars: they go into JSON and file headers.
+    numbers = [report.min_distance, *(report.closest_pair or ())]
+    numbers += [x for violation in report.profile_violations for x in violation]
+    assert all(type(x) is int or x == math.inf for x in numbers)
+    assert type(report.passed) is bool
+
+
+def _random_binary(rng, length, count, profile=None):
+    words = {rng.getrandbits(length) for _ in range(count)}
+    return BinaryCode.from_words(words, length, rng.randint(0, length), profile)
+
+
+@pytest.mark.parametrize("tile_bytes", [None, 64])
+@pytest.mark.parametrize("length", [1, 6, 64, 65, 128, 200])
+def test_verify_matches_reference_loop(length, tile_bytes, monkeypatch):
+    # 64 bytes gives one row per tile, so a tie can span tiles.
+    if tile_bytes is not None:
+        monkeypatch.setattr(codes_mod, "TILE_BYTES", tile_bytes)
+    rng = random.Random(length)
+    # Blocks cross the 64-bit limb boundaries at these lengths.
+    profile = WeightProfile(((length // 3, length // 6), (length - length // 3, length // 3)))
+    for count in (1, 2, 3, 40, 150):
+        assert_matches_reference(_random_binary(rng, length, count))
+        assert_matches_reference(_random_binary(rng, length, count, profile))
+
+
+def test_verify_distances_past_255():
+    # Distances 300, 300 and 600: a uint8 sum would wrap them.
+    ones = (1 << 300) - 1
+    code = BinaryCode.from_words([0, ones, ones << 300], 600, 300)
+    assert verify_code(code).min_distance == 300
+    assert_matches_reference(code)
+
+
+def test_verify_spans_many_default_tiles():
+    rng = random.Random(7)
+    code = _random_binary(rng, 200, 600, WeightProfile(((100, 50), (100, 50))))
+    rows = codes_mod.TILE_BYTES // (8 * 4 * len(code.words))
+    assert len(code.words) > 10 * rows
+    assert_matches_reference(code)
+
+
+@pytest.mark.parametrize("count, length", [(2, 33), (40, 33), (1331, 33), (600, 1024)])
+def test_verify_temporaries_stay_near_tile_bytes(count, length):
+    rng = random.Random(count)
+    code = _random_binary(rng, length, count)
+    verify_code(code)  # imports numpy first, outside the measurement
+    tracemalloc.start()
+    try:
+        verify_code(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * codes_mod.TILE_BYTES
+
+
+def test_verify_ties_keep_first_pair(monkeypatch):
+    monkeypatch.setattr(codes_mod, "TILE_BYTES", 64)
+    # Every pair of these weight-1 words is at distance 2.
+    assert_matches_reference(BinaryCode.from_words([1 << j for j in range(70)], 70, 2))
+    # (1, 2) and (2, 3) tie at distance 1, later than the distance-2 pair (0, 1).
+    code = BinaryCode.from_words(["0000", "0011", "0111", "1111"], 4, 1)
+    assert verify_code(code).closest_pair == (1, 2)
+    assert_matches_reference(code)
+
+
+def test_verify_single_word_matches_reference():
+    for code in (
+        BinaryCode.from_words(["0110"], 4, 99),
+        BinaryCode(0, (0,), 1),
+        BinaryCode.from_words([5], 200, 3, WeightProfile(((100, 1), (100, 1)))),
+        QaryCode.from_words([(3, 1, 4)], q=64, claimed_distance=2),
+    ):
+        report = verify_code(code)
+        assert math.isinf(report.min_distance) and report.closest_pair is None
+        assert_matches_reference(code)
+
+
+@pytest.mark.parametrize("tile_bytes", [None, 64])
+@pytest.mark.parametrize("q, length", [(3, 4), (11, 7), (16, 5), (64, 3), (64, 17)])
+def test_verify_qary_matches_reference_loop(q, length, tile_bytes, monkeypatch):
+    if tile_bytes is not None:
+        monkeypatch.setattr(codes_mod, "TILE_BYTES", tile_bytes)
+    rng = random.Random(q * 100 + length)
+    for count in (2, 30, 120):
+        words = {tuple(rng.randrange(q) for _ in range(length)) for _ in range(count)}
+        assert_matches_reference(QaryCode.from_words(words, q, length, rng.randint(0, length)))
 
 
 def test_systematic_set_examples():

@@ -1,10 +1,14 @@
 """Construction tests; expected codes are expanded by hand or via independent checks."""
 
+import math
+from itertools import product
+
 import pytest
 
 import mcwc.constructions as constructions_mod
 from mcwc.codes import BinaryCode, CodeError, QaryCode, WeightProfile, find_systematic_set, verify_code
 from mcwc.constructions import (
+    RS_SIZE_CAP,
     ConstructionError,
     append_extend,
     builtin_code,
@@ -225,6 +229,61 @@ def test_rs_size_identity():
     for q, length, d in ((3, 2, 2), (4, 3, 2), (5, 4, 3), (7, 3, 3)):
         rs = reed_solomon(field_for_order(q), length, d)
         assert len(rs.words) == q ** (length - d + 1)
+
+
+def reference_reed_solomon(field, length, d):
+    """reed_solomon as a per-symbol Horner loop over Field.add and Field.mul: the oracle."""
+    q = field.q
+    k = length - d + 1
+    words = []
+    for coeffs in product(range(q), repeat=k):  # little-endian polynomial
+        symbols = []
+        for x in range(min(length, q)):
+            acc = 0
+            for c in reversed(coeffs):  # Horner
+                acc = field.add(field.mul(acc, x), c)
+            symbols.append(acc)
+        if length == q + 1:
+            symbols.append(coeffs[-1])
+        words.append(tuple(symbols))
+    code = QaryCode.from_words(words, q, length, d)
+    min_wt = min(
+        (sum(s != 0 for s in wd) for wd in code.words if any(wd)), default=math.inf
+    )
+    assert min_wt == d
+    return code
+
+
+def _rs_cases():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        for length in range(1, q + 2):
+            for d in range(1, length + 1):
+                if q ** (length - d + 1) <= 4096:
+                    yield q, length, d
+    for length in (1, 2, 3, 16, 63, 64, 65):
+        for d in (length - 1, length):
+            if d >= 1:
+                yield 64, length, d
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 64])
+def test_rs_matches_reference_horner(q):
+    field = field_for_order(q)
+    for q_case, length, d in _rs_cases():
+        if q_case == q:
+            rs = reed_solomon(field, length, d)
+            assert rs == reference_reed_solomon(field, length, d), (length, d)
+            assert all(type(s) is int for s in rs.words[-1])
+
+
+def test_rs_size_cap():
+    # 8^5 = 32^3 = RS_SIZE_CAP words are built; one more message symbol is refused.
+    assert RS_SIZE_CAP == 8**5 == 32**3
+    assert len(reed_solomon(field_for_order(8), 5, 1).words) == RS_SIZE_CAP
+    assert len(reed_solomon(field_for_order(32), 33, 31).words) == RS_SIZE_CAP
+    for q, length, d in ((8, 6, 1), (32, 4, 1), (64, 16, 10), (4096, 3, 1)):
+        with pytest.raises(ConstructionError, match="over the cap"):
+            reed_solomon(field_for_order(q), length, d)
 
 
 def test_rs_mcwc_cells():

@@ -145,12 +145,24 @@ def schoolbook(field):
 def test_tables_match_schoolbook(q):
     f = field_for_order(q)
     add, mul = schoolbook(f)
+    add_table, mul_table = f.tables()
     for a in range(q):
         for b in range(q):
-            assert f.add(a, b) == add(a, b), (a, b)
-            assert f.mul(a, b) == mul(a, b), (a, b)
+            assert f.add(a, b) == add(a, b) == add_table[a, b], (a, b)
+            assert f.mul(a, b) == mul(a, b) == mul_table[a, b], (a, b)
         if a:
             assert mul(a, f.inv(a)) == 1, a
+
+
+@pytest.mark.parametrize("q", [181, 256, 257])
+def test_numpy_tables_match_add_and_mul(q):
+    # 181 is the largest order a capped Reed-Solomon build takes tables for;
+    # 256 and 257 sit on either side of the uint8 / uint16 boundary.
+    f = field_for_order(q)
+    add_table, mul_table = f.tables()
+    assert add_table.dtype == mul_table.dtype == ("uint8" if q <= 256 else "uint16")
+    assert add_table.tolist() == [[f.add(a, b) for b in range(q)] for a in range(q)]
+    assert mul_table.tolist() == [[f.mul(a, b) for b in range(q)] for a in range(q)]
 
 
 @pytest.mark.parametrize("q", SMALL_ORDERS)
