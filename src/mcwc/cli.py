@@ -217,24 +217,23 @@ def _cmd_construct(args) -> int:
 
 # ---------- verify ----------
 
-# Most word pairs one verify call checks unless --max-pairs raises it.
+# Most word pairs one verify call checks.
 MAX_VERIFY_PAIRS = 1_000_000_000
 
 
-def check_verify_pairs(word_count: int, max_pairs: int) -> None:
-    """Refuse a code with more than max_pairs pairs of words to check."""
+def check_verify_pairs(word_count: int) -> None:
+    """Refuse a code with more than MAX_VERIFY_PAIRS pairs of words to check."""
     pairs = word_count * (word_count - 1) // 2
-    if pairs > max_pairs:
+    if pairs > MAX_VERIFY_PAIRS:
         raise UsageError(
             f"{word_count} words give {pairs} pairs to verify, over the cap of "
-            f"{max_pairs}; raise it with --max-pairs"
+            f"{MAX_VERIFY_PAIRS}"
         )
 
 
 def _cmd_verify(args) -> int:
-    _check_least("--max-pairs", [args.max_pairs], 0)
     code = code_read_path(args.file)
-    check_verify_pairs(len(code.words), args.max_pairs)
+    check_verify_pairs(len(code.words))
     if args.d is not None or args.profile is not None:
         claimed = args.d if args.d is not None else code.claimed_distance
         if isinstance(code, BinaryCode):
@@ -512,8 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--d", type=int, help="override the claimed distance")
     p.add_argument("--profile", help="override the profile, e.g. 4:2,4:2")
-    p.add_argument("--max-pairs", type=int, default=MAX_VERIFY_PAIRS,
-                   help=f"most word pairs to check (default {MAX_VERIFY_PAIRS})")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("design", help="generate or verify designs")

@@ -284,10 +284,8 @@ def reed_solomon(field: Field, length: int, d: int) -> QaryCode:
     if min_wt != d:
         raise AssertionError(f"RS({length},{k})_{q}: min weight {min_wt} != {d}")
     words = words[np.lexsort(words.T[::-1])]
-    # Rows of one object array of Python ints, so equal symbols share one int
-    # (tolist would make an int for every symbol above 256, and a list a word).
-    symbols = np.array(range(q), dtype=object)
-    return QaryCode(q, length, tuple(map(tuple, symbols[words])), d)
+    # Row by row: one tolist of the whole array peaks ~0.8 MB higher at 4,096 words.
+    return QaryCode(q, length, tuple(tuple(row.tolist()) for row in words), d)
 
 
 def rs_mcwc(m: int, n: int, d: int, w: int) -> ConstructionResult:

@@ -381,9 +381,6 @@ PUF_SIM = ["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "10"]
         # argv48 on: 64^7 Reed-Solomon words, refused before any is built
         ["construct", "rs", "--q", "64", "--len", "16", "--d", "10"],
         ["construct", "rs", "--q", "64", "--len", "16", "--d", "10", "--expand"],
-        # three words give three pairs
-        ["verify", "{tmp}/qary.txt", "--max-pairs", "2"],
-        ["verify", "{tmp}/qary.txt", "--max-pairs", "-1"],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
@@ -461,22 +458,24 @@ def test_refused_sweep_saves_no_device(words, options, tmp_path, capsys):
     assert not device.exists()
 
 
-def test_verify_pair_cap(tmp_path, capsys):
-    # C(44721, 2) = 999,961,560 pairs pass the default cap; C(44722, 2) do not.
-    cli.check_verify_pairs(44721, cli.MAX_VERIFY_PAIRS)
+def test_verify_pair_cap(tmp_path, capsys, monkeypatch):
+    # C(44721, 2) = 999,961,560 pairs pass the cap; C(44722, 2) do not.
+    cli.check_verify_pairs(44721)
     with pytest.raises(cli.UsageError) as refused:
-        cli.check_verify_pairs(44722, cli.MAX_VERIFY_PAIRS)
-    for part in ("1000006281 pairs", "cap of 1000000000", "--max-pairs"):
+        cli.check_verify_pairs(44722)
+    for part in ("1000006281 pairs", "cap of 1000000000"):
         assert part in str(refused.value)
 
+    # Three words give three pairs.
     path = tmp_path / "qary.txt"
     path.write_text(INPUT_FILES["qary.txt"])
-    status, out, _ = run(["verify", str(path), "--max-pairs", "3"], capsys)
+    monkeypatch.setattr(cli, "MAX_VERIFY_PAIRS", 3)
+    status, out, _ = run(["verify", str(path)], capsys)
     assert status == 0 and json.loads(out)["passed"] is True
-    status, out, err = run(["verify", str(path), "--max-pairs", "2"], capsys)
+    monkeypatch.setattr(cli, "MAX_VERIFY_PAIRS", 2)
+    status, out, err = run(["verify", str(path)], capsys)
     assert status == 2 and out == ""
-    assert err == "error: UsageError: 3 words give 3 pairs to verify, over the cap of 2; " \
-                  "raise it with --max-pairs\n"
+    assert err == "error: UsageError: 3 words give 3 pairs to verify, over the cap of 2\n"
 
 
 def test_sweep_size_checked_before_code_is_verified(tmp_path, capsys, monkeypatch):
