@@ -27,12 +27,12 @@ from .clique import max_clique, pack_rows
 from .codes import BinaryCode, WeightProfile, distance_tiles, word_limbs
 from .constructions import (
     CONSTRUCTION_SIZE_CAP,
-    RS_SIZE_CAP,
     ConstructionError,
     concatenate,
     pseudo_product,
     reed_solomon,
     rs_mcwc,
+    rs_mcwc_params,
     systematic_binary_pool,
     systematic_cwc_pool,
 )
@@ -145,13 +145,6 @@ def _normalize_profile(parts: tuple[tuple[int, int], ...]) -> tuple[tuple[int, i
 # the profile and u alone, so one memo serves every caller in any order.
 _JOHNSON_ROWS: dict[tuple[tuple[int, int], ...], tuple[int, list[int]]] = {}
 
-_CLOSED_FORM = "average-intersection closed form"
-
-
-@lru_cache(maxsize=None)
-def _shrink_rules(i: int) -> tuple[str, str]:
-    return f"shrink-weight block {i}", f"shrink-length block {i}"
-
 
 def _johnson_row(parts: tuple[tuple[int, int], ...], lo: int) -> tuple[int, list[int]]:
     """(lo', row) with lo' <= lo: the memoised bounds of `parts` from u = lo' up.
@@ -168,19 +161,19 @@ def _johnson_row(parts: tuple[tuple[int, int], ...], lo: int) -> tuple[int, list
 
 def _johnson_steps(
     parts: tuple[tuple[int, int], ...], lo: int
-) -> list[tuple[str, list[float]]]:
-    """Each recursion step from `parts` as (rule, bounds for u = lo..W).
+) -> list[tuple[tuple[str, int | None], list[float]]]:
+    """Each recursion step from `parts` as ((rule, block), bounds for u = lo..W).
 
-    Steps come in tie-break order: the closed form (inf where it does not
-    apply), then shrink-weight and shrink-length per block.  A block equal to
-    the one before it gives the same children, so it is skipped and ties keep
-    the first index.  Needs 2 <= lo <= W.
+    Steps come in tie-break order: the closed form (block None; inf where it
+    does not apply), then shrink-weight and shrink-length per block.  A block
+    equal to the one before it gives the same children, so it is skipped and
+    ties keep the first index.  Needs 2 <= lo <= W.
     """
     weights = sum(w_i for _, w_i in parts)
     # u / (sum w_i^2/n_i - (W - u)), with numerator and divisor scaled by N.
     total = math.prod(n_i for n_i, _ in parts)
     base = sum(w_i * w_i * (total // n_i) for n_i, w_i in parts) - weights * total
-    steps = [(_CLOSED_FORM, [
+    steps = [(("average-intersection closed form", None), [
         u * total // (base + u * total) if base + u * total > 0 else INF
         for u in range(lo, weights + 1)
     ])]
@@ -188,10 +181,9 @@ def _johnson_steps(
         if i and parts[i - 1] == parts[i]:
             continue
         rest = parts[:i] + parts[i + 1:]
-        weight_rule, length_rule = _shrink_rules(i)
         # (rule, shrunk block, divisor of n_i * T(child)), weight step first.
-        shrinks = [(weight_rule, (n_i - 1, w_i - 1), w_i)] if w_i else []
-        shrinks.append((length_rule, (n_i - 1, min(w_i, n_i - 1 - w_i)), n_i - w_i))
+        shrinks = [("shrink-weight", (n_i - 1, w_i - 1), w_i)] if w_i else []
+        shrinks.append(("shrink-length", (n_i - 1, min(w_i, n_i - 1 - w_i)), n_i - w_i))
         for rule, block, divisor in shrinks:
             child_weights = weights - w_i + block[1]
             inner = []
@@ -204,7 +196,7 @@ def _johnson_steps(
             # T(child) is 1 above the child's total weight.
             bounds = [n_i * x // divisor for x in inner]
             bounds += [n_i // divisor] * (weights - max(child_weights, lo - 1))
-            steps.append((rule, bounds))
+            steps.append(((rule, i), bounds))
     return steps
 
 
@@ -219,7 +211,8 @@ def _johnson_t(parts: tuple[tuple[int, int], ...], u: int) -> tuple[int, str]:
         return 1, "distance exceeds diameter"
     steps = _johnson_steps(parts, u)
     best = min(bounds[0] for _, bounds in steps)
-    return best, next(rule for rule, bounds in steps if bounds[0] == best)
+    rule, block = next(tag for tag, bounds in steps if bounds[0] == best)
+    return best, rule if block is None else f"{rule} block {block}"
 
 
 def johnson_general(profile: WeightProfile, d: int) -> BoundRecord:
@@ -273,21 +266,27 @@ def johnson_closed_form(m: int, n: int, d: int, w: int) -> BoundRecord | None:
     return _record(m, n, d, w, "upper", value, prov)
 
 
+def _rs_exponent(m: int, n: int, d: int, w: int) -> int:
+    """s of the (n/w)^s-word code rs_mcwc builds for the cell (d even); 0 if it builds none."""
+    try:
+        return rs_mcwc_params(m, n, d, w)[1]
+    except ConstructionError:
+        return 0
+
+
 def tightness_exact(m: int, n: int, d: int, w: int) -> BoundRecord | None:
     """Exact value (n/w)^s when the power bound is met by Reed-Solomon expansion.
 
-    Conditions: s = m*w - d/2 + 1 in [1, m], w | n, and q = n/w a prime power
-    with q >= m*w - 1.  The achieving code is actually built and verified; a
-    size mismatch would be an internal bug.  None when q^s exceeds
-    RS_SIZE_CAP, since the witness would be too large to verify pairwise.
+    The power bound holds for s = m*w - d/2 + 1 in [1, m]; rs_mcwc_params
+    decides whether rs_mcwc builds its q^s-word witness, q = n/w, which is
+    then built and verified (a size mismatch would be an internal bug).
+    None when s > m or rs_mcwc_params refuses the cell.
     """
     d_eff, note = _lift(d)
-    if w < 1 or n % w:
+    s = _rs_exponent(m, n, d_eff, w)
+    if not 1 <= s <= m:
         return None
-    s = m * w - d_eff // 2 + 1
     q = n // w
-    if not 1 <= s <= m or q < m * w - 1 or prime_power(q) is None or q**s > RS_SIZE_CAP:
-        return None
     witness = rs_mcwc(m, n, d_eff, w)
     if witness.size != q**s:
         raise AssertionError(f"power-exact witness has size {witness.size}, expected {q**s}")
@@ -575,39 +574,25 @@ class BoundTable:
 # ---------- construction providers for table cells ----------
 
 @lru_cache(maxsize=None)
-def _design_candidates(m: int, n: int, w: int) -> tuple[tuple[int, int, str], ...]:
-    """(size, guaranteed_distance, provenance) from the design families."""
-    out = []
+def _construction_candidates(m: int, n: int, w: int) -> tuple[tuple[int, int, str], ...]:
+    """(size, guarantee, provenance) of the shape's design, pseudo-product, concatenation codes."""
+    results = []
     if w == m and n == m * m and prime_power(m) is not None:
-        result = designs_mod.design_to_mcwc(designs_mod.affine_plane(m))
-        out.append((result.size, result.guaranteed_distance, result.provenance))
+        results.append(designs_mod.design_to_mcwc(designs_mod.affine_plane(m)))
     if w == 2 and n == 2 * m and n >= 4:
-        result = designs_mod.design_to_mcwc(designs_mod.one_factorization(n))
-        out.append((result.size, result.guaranteed_distance, result.provenance))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _pseudo_product_candidates(m: int, n: int, w: int) -> tuple[tuple[int, int, str], ...]:
-    out = []
-    for cwc in systematic_cwc_pool(n, w):
+        results.append(designs_mod.design_to_mcwc(designs_mod.one_factorization(n)))
+    pool = systematic_cwc_pool(n, w)
+    for cwc in pool:
         k1 = len(cwc.words).bit_length() - 1
         for sysc in systematic_binary_pool(m):
             k2 = len(sysc.words).bit_length() - 1
             if k1 * k2 <= 0 or (1 << (k1 * k2)) > CONSTRUCTION_SIZE_CAP:
                 continue
             try:
-                result = pseudo_product(cwc, sysc)
+                results.append(pseudo_product(cwc, sysc))
             except ConstructionError:
                 continue
-            out.append((result.size, result.guaranteed_distance, result.provenance))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _concat_candidates(m: int, n: int, w: int) -> tuple[tuple[int, int, str], ...]:
-    out = []
-    for inner in systematic_cwc_pool(n, w):
+    for inner in pool:
         q = max(
             (x for x in range(2, len(inner.words) + 1) if prime_power(x) is not None),
             default=None,
@@ -616,12 +601,9 @@ def _concat_candidates(m: int, n: int, w: int) -> tuple[tuple[int, int, str], ..
             continue
         field = field_for_order(q)
         for d2 in range(1, m + 1):
-            if q ** (m - d2 + 1) > CONSTRUCTION_SIZE_CAP:
-                continue
-            outer = reed_solomon(field, m, d2)
-            result = concatenate(outer, inner)
-            out.append((result.size, result.guaranteed_distance, result.provenance))
-    return tuple(out)
+            if q ** (m - d2 + 1) <= CONSTRUCTION_SIZE_CAP:
+                results.append(concatenate(reed_solomon(field, m, d2), inner))
+    return tuple((r.size, r.guaranteed_distance, r.provenance) for r in results)
 
 
 def evaluate_cell(
@@ -657,23 +639,11 @@ def evaluate_cell(
 
     # Constructions.
     table.insert(_record(m, n, d, w, "lower", 1, "single word"))
-    if power_exact is None and w >= 1 and n % w == 0:
-        # A power-exact record already carries an RS witness of the same size.
-        q = n // w
-        s = m * w - d_eff // 2 + 1
-        if s >= 1 and q**s <= RS_SIZE_CAP:
-            try:
-                witness = rs_mcwc(m, n, d_eff, w)
-                table.insert(
-                    _record(m, n, d, w, "lower", witness.size, witness.provenance)
-                )
-            except ConstructionError:
-                pass
-    for size, guarantee, prov in (
-        _design_candidates(m, n, w)
-        + _pseudo_product_candidates(m, n, w)
-        + _concat_candidates(m, n, w)
-    ):
+    if _rs_exponent(m, n, d_eff, w) > m:
+        # With s <= m the power-exact record above carries this witness.
+        witness = rs_mcwc(m, n, d_eff, w)
+        table.insert(_record(m, n, d, w, "lower", witness.size, witness.provenance))
+    for size, guarantee, prov in _construction_candidates(m, n, w):
         if guarantee >= d:
             table.insert(_record(m, n, d, w, "lower", size, prov))
     ref = table.references.cwc(m * n, d, m * w)

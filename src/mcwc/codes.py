@@ -3,9 +3,9 @@
 Binary words are packed into Python ints: coordinate j (0-based, reading the
 word left to right) is bit (length-1-j), so ``format(word, f"0{n}b")`` prints
 the word in natural order.  q-ary words are tuples of symbol indices.
-Verification reads a q-ary word as its indicator int (bit q*i + s set for
-symbol s at position i); two indicator ints differ in twice as many bits as
-their words differ in symbols, so one XOR-popcount kernel serves both
+Verification reads a q-ary word as its indicator int (indicator_words, the
+layout q-ary expansion builds); two indicator ints differ in twice as many
+bits as their words differ in symbols, so one XOR-popcount kernel serves both
 alphabets.  The kernel splits words into uint64 limbs and works in numpy over
 row tiles of a bounded byte size.
 """
@@ -293,13 +293,27 @@ def distance_tiles(limbs, later: bool = False) -> Iterator[tuple[int, object]]:
         yield start, dist
 
 
-def _indicator_limbs(code: Code) -> tuple[object, int]:
-    """word_limbs of words whose XOR popcount is `scale` times the code's Hamming distance."""
-    if isinstance(code, BinaryCode):
-        return word_limbs(code.words, code.length), 1
+# Most indicator bits (words x q x length) indicator_words builds: 256 MiB.
+MAX_INDICATOR_BITS = 1 << 31
+
+
+def indicator_words(code: QaryCode) -> list[int]:
+    """Each word as q-bit symbol indicators, position 0 leftmost: symbol s sets bit q-1-s.
+
+    A code of more than MAX_INDICATOR_BITS bits in all is refused before any
+    word is built.
+    """
     q = code.q
-    words = [sum(1 << (q * i + s) for i, s in enumerate(wd)) for wd in code.words]
-    return word_limbs(words, q * code.length), 2
+    bits = len(code.words) * q * code.length
+    if bits > MAX_INDICATOR_BITS:
+        raise CodeError(f"{bits} indicator bits exceed the cap of {MAX_INDICATOR_BITS}")
+    words = []
+    for symbols in code.words:
+        word = 0
+        for s in symbols:
+            word = (word << q) | (1 << (q - 1 - s))
+        words.append(word)
+    return words
 
 
 def verify_code(code: Code) -> VerificationReport:
@@ -313,7 +327,10 @@ def verify_code(code: Code) -> VerificationReport:
     if len(code.words) == 0:
         raise CodeError("cannot verify an empty code")
 
-    limbs, scale = _indicator_limbs(code)
+    if isinstance(code, BinaryCode):
+        limbs, scale = word_limbs(code.words, code.length), 1
+    else:
+        limbs, scale = word_limbs(indicator_words(code), code.q * code.length), 2
     violations: list[tuple[int, int, int, int]] = []
     if isinstance(code, BinaryCode) and code.profile is not None:
         masks = word_limbs(code.profile.masks(), code.length).T

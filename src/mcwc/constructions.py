@@ -16,23 +16,25 @@ from dataclasses import dataclass
 from itertools import product
 
 from .codes import (
+    MAX_INDICATOR_BITS,
     BinaryCode,
     CodeError,
     QaryCode,
     VerificationReport,
     WeightProfile,
     find_systematic_set,
+    indicator_words,
     restriction,
     verify_code,
     word_blocks,
 )
-from .gf import Field, field_for_order, prime_power
+from .gf import DEFAULT_ORDER_CAP, Field, field_for_order, prime_power
 
 
 # Largest code the table's construction providers build and verify exhaustively.
 CONSTRUCTION_SIZE_CAP = 512
-# Largest Reed-Solomon code (q^k words) reed_solomon builds; the table's
-# power-exact witnesses, verified pairwise after expansion, stay under it too.
+# Largest Reed-Solomon code (q^k words) reed_solomon builds; rs_mcwc's
+# witnesses, verified pairwise after expansion, stay under it too.
 RS_SIZE_CAP = 64 * CONSTRUCTION_SIZE_CAP
 
 
@@ -206,17 +208,11 @@ def qary_expand(code: QaryCode, w: int) -> ConstructionResult:
         raise ConstructionError(f"length {code.length} not divisible by block weight {w}")
     q = code.q
     m = code.length // w
-    words = []
-    for symbols in code.words:
-        word = 0
-        for s in symbols:
-            word = (word << q) | (1 << (q - 1 - s))
-        words.append(word)
     profile = WeightProfile.homogeneous(m, q * w, w)
     prov = f"qary-expand(({code.length},{code.claimed_distance})_{q}, w={w})"
     return _finish(
-        words, m * w * q, 2 * code.claimed_distance, profile, prov, len(code.words),
-        (("q-ary code", code),),
+        indicator_words(code), m * w * q, 2 * code.claimed_distance, profile, prov,
+        len(code.words), (("q-ary code", code),),
     )
 
 
@@ -288,11 +284,13 @@ def reed_solomon(field: Field, length: int, d: int) -> QaryCode:
     return QaryCode(q, length, tuple(tuple(row.tolist()) for row in words), d)
 
 
-def rs_mcwc(m: int, n: int, d: int, w: int) -> ConstructionResult:
-    """Reed-Solomon + q-ary expansion targeting an m x n, distance-d, weight-w cell.
+def rs_mcwc_params(m: int, n: int, d: int, w: int) -> tuple[int, int]:
+    """(q, s) of the code rs_mcwc builds for the cell, which has q^s words.
 
-    Needs w | n, q = n/w a prime power >= m*w - 1, and even d with
-    1 <= d/2 <= m*w.  Yields q^(m*w - d/2 + 1) codewords.
+    Needs even d, w | n, q = n/w a prime power with m*w - 1 <= q <=
+    DEFAULT_ORDER_CAP, and s = m*w - d/2 + 1 with 1 <= s <= m*w; the code
+    must stay within RS_SIZE_CAP words and MAX_INDICATOR_BITS bits.  Raises
+    ConstructionError otherwise, before any field or word is built.
     """
     if d % 2:
         raise ConstructionError("target distance must be even")
@@ -300,16 +298,30 @@ def rs_mcwc(m: int, n: int, d: int, w: int) -> ConstructionResult:
         raise ConstructionError(f"block weight {w} must divide block length {n}")
     q = n // w
     mw = m * w
+    if q > DEFAULT_ORDER_CAP:
+        raise ConstructionError(f"field order {q} exceeds cap {DEFAULT_ORDER_CAP}")
     if q < 2 or prime_power(q) is None:
         raise ConstructionError(f"n/w = {q} is not a prime power")
     if q < mw - 1:
         raise ConstructionError(f"alphabet q={q} too small for length {mw}")
     if not 1 <= d // 2 <= mw:
         raise ConstructionError(f"no Reed-Solomon code of length {mw} and distance {d // 2}")
-    field = field_for_order(q)
-    rs = reed_solomon(field, mw, d // 2)
-    result = qary_expand(rs, w)
-    prov = f"rs-expand(q={q}, len={mw}, d={d // 2}, w={w})"
+    s = mw - d // 2 + 1
+    if q**s > RS_SIZE_CAP:
+        raise ConstructionError(f"{q}^{s} words exceed the cap of {RS_SIZE_CAP}")
+    if q**s * m * n > MAX_INDICATOR_BITS:
+        raise ConstructionError(f"{q}^{s} words of {m * n} bits exceed {MAX_INDICATOR_BITS}")
+    return q, s
+
+
+def rs_mcwc(m: int, n: int, d: int, w: int) -> ConstructionResult:
+    """Reed-Solomon + q-ary expansion targeting an m x n, distance-d, weight-w cell.
+
+    Yields q^s codewords; rs_mcwc_params gives (q, s) or refuses the cell.
+    """
+    q, _ = rs_mcwc_params(m, n, d, w)
+    result = qary_expand(reed_solomon(field_for_order(q), m * w, d // 2), w)
+    prov = f"rs-expand(q={q}, len={m * w}, d={d // 2}, w={w})"
     return ConstructionResult(result.code, d, prov, result.report)
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from mcwc import bounds as bounds_mod
 from mcwc import codes as codes_mod
+from mcwc import constructions as constructions_mod
 from mcwc.bounds import (
     BoundRecord,
     BoundTable,
@@ -301,6 +302,15 @@ def test_tightness_exact_caps_witness_size():
     assert tightness_exact(3, 64, 2, 1) is None
 
 
+def test_tightness_exact_declines_past_field_cap(monkeypatch):
+    # q = 4099 is prime, but over the largest field GF(q) builds.
+    def no_field(q):
+        raise AssertionError(f"built GF({q})")
+
+    monkeypatch.setattr(constructions_mod, "field_for_order", no_field)
+    assert tightness_exact(2, 4099, 4, 1) is None
+
+
 @pytest.mark.parametrize(
     "m,n,d,w", [(2, 4, 4, 2), (1, 8, 4, 4), (2, 4, 6, 2), (3, 3, 4, 1), (1, 7, 4, 3), (2, 5, 6, 2)]
 )
@@ -492,6 +502,175 @@ def test_trivial_upper_computed_embedding_decides_cell():
     evaluate_cell(alone, *cell)
     assert alone.exact_value(cell) == 2
     assert alone.best_upper(cell)[1] == "clique-search[complete, nodes=1]"
+
+
+# Every record evaluate_cell inserts, in order, for one cell per rule that can
+# decide a cell; the cells come from the grid_rules grid (--vertex-cap 0), and
+# (2,4,6,2) runs a search.
+PINNED_RECORDS = {
+    # all profile words
+    (1, 3, 2, 3): [
+        ('upper', 1, 'johnson-general[single-word cell]'),
+        ('lower', 1, 'all profile words'),
+    ],
+    # power-exact
+    (1, 6, 6, 3): [
+        ('upper', 2, 'johnson-general[average-intersection closed form]'),
+        ('exact', 2, 'power-exact[q=2, s=1; witness rs-expand(q=2, len=3, d=3, w=3)]'),
+        ('lower', 1, 'single word'),
+        ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(1,1)^2^1)'),
+        ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(1,1)^2^1)'),
+        ('lower', 2, 'concatenation(outer=(1,1)_2, inner=cwc(6,6,3))'),
+    ],
+    # RS lower, s > m
+    (1, 6, 4, 3): [
+        ('upper', 4, 'johnson-general[average-intersection closed form]'),
+        ('upper', 4, 'constant-weight embedding[A(6,4,3)<=4, exhaustive-search]'),
+        ('lower', 1, 'single word'),
+        ('lower', 4, 'rs-expand(q=2, len=3, d=2, w=3)'),
+        ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(1,1)^2^1)'),
+        ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(1,1)^2^1)'),
+        ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^2 x sys(1,1)^2^1)'),
+        ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^2 x sys(1,1)^2^1)'),
+        ('lower', 2, 'pseudo-product(cwc(6,4,3)^2^1 x sys(1,1)^2^1)'),
+        ('lower', 2, 'pseudo-product(cwc(6,4,3)^2^1 x sys(1,1)^2^1)'),
+        ('lower', 2, 'concatenation(outer=(1,1)_2, inner=cwc(6,6,3))'),
+        ('lower', 4, 'concatenation(outer=(1,1)_4, inner=cwc(6,4,3))'),
+        ('lower', 2, 'concatenation(outer=(1,1)_2, inner=cwc(6,4,3))'),
+        ('lower', 4, 'cwc-reference[A(6,4,3)>=4, exhaustive-search]'),
+    ],
+    # design
+    (3, 9, 4, 3): [
+        ('upper', 84672, 'johnson-general[shrink-weight block 0]'),
+        ('lower', 1, 'single word'),
+        ('lower', 4, 'design(2-(9,3,1) resolvable, 4 classes)'),
+    ],
+    # pseudo-product
+    (1, 8, 6, 4): [
+        ('upper', 3, 'johnson-general[average-intersection closed form]'),
+        ('lower', 1, 'single word'),
+        ('lower', 2, 'pseudo-product(cwc(8,8,4)^2^1 x sys(1,1)^2^1)'),
+        ('lower', 2, 'pseudo-product(cwc(8,8,4)^2^1 x sys(1,1)^2^1)'),
+        ('lower', 2, 'concatenation(outer=(1,1)_2, inner=cwc(8,8,4))'),
+    ],
+    # concatenation
+    (4, 6, 10, 3): [
+        ('upper', 200, 'johnson-general[shrink-weight block 0]'),
+        ('lower', 1, 'single word'),
+        ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(4,4)^2^1)'),
+        ('lower', 8, 'pseudo-product(cwc(6,6,3)^2^1 x sys(4,2)^2^3)'),
+        ('lower', 8, 'pseudo-product(cwc(6,6,3)^2^1 x sys(4,2)^2^3)'),
+        ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^2 x sys(4,4)^2^1)'),
+        ('lower', 2, 'pseudo-product(cwc(6,4,3)^2^1 x sys(4,4)^2^1)'),
+        ('lower', 16, 'concatenation(outer=(4,3)_4, inner=cwc(6,4,3))'),
+        ('lower', 4, 'concatenation(outer=(4,4)_4, inner=cwc(6,4,3))'),
+    ],
+    # cwc-reference
+    (1, 8, 4, 4): [
+        ('upper', 14, 'johnson-general[shrink-weight block 0]'),
+        ('upper', 14, 'constant-weight embedding[A(8,4,4)<=14, exhaustive-search]'),
+        ('lower', 1, 'single word'),
+        ('lower', 2, 'pseudo-product(cwc(8,8,4)^2^1 x sys(1,1)^2^1)'),
+        ('lower', 2, 'pseudo-product(cwc(8,8,4)^2^1 x sys(1,1)^2^1)'),
+        ('lower', 8, 'pseudo-product(cwc(8,4,4)^2^3 x sys(1,1)^2^1)'),
+        ('lower', 8, 'pseudo-product(cwc(8,4,4)^2^3 x sys(1,1)^2^1)'),
+        ('lower', 8, 'pseudo-product(cwc(8,4,4)^2^3 x sys(1,1)^2^1)'),
+        ('lower', 8, 'pseudo-product(cwc(8,4,4)^2^3 x sys(1,1)^2^1)'),
+        ('lower', 4, 'pseudo-product(cwc(8,4,4)^2^2 x sys(1,1)^2^1)'),
+        ('lower', 4, 'pseudo-product(cwc(8,4,4)^2^2 x sys(1,1)^2^1)'),
+        ('lower', 2, 'concatenation(outer=(1,1)_2, inner=cwc(8,8,4))'),
+        ('lower', 8, 'concatenation(outer=(1,1)_8, inner=cwc(8,4,4))'),
+        ('lower', 8, 'concatenation(outer=(1,1)_8, inner=cwc(8,4,4))'),
+        ('lower', 4, 'concatenation(outer=(1,1)_4, inner=cwc(8,4,4))'),
+        ('lower', 14, 'cwc-reference[A(8,4,4)>=14, exhaustive-search]'),
+    ],
+    # size-transfer
+    (2, 6, 4, 3): [
+        ('upper', 80, 'johnson-general[shrink-weight block 0]'),
+        ('lower', 1, 'single word'),
+        ('lower', 8, 'pseudo-product(cwc(6,2,3)^2^3 x sys(2,2)^2^1)'),
+        ('lower', 8, 'pseudo-product(cwc(6,2,3)^2^3 x sys(2,2)^2^1)'),
+        ('lower', 4, 'pseudo-product(cwc(6,6,3)^2^1 x sys(2,1)^2^2)'),
+        ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(2,2)^2^1)'),
+        ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(2,2)^2^1)'),
+        ('lower', 4, 'pseudo-product(cwc(6,6,3)^2^1 x sys(2,1)^2^2)'),
+        ('lower', 16, 'pseudo-product(cwc(6,4,3)^2^2 x sys(2,1)^2^2)'),
+        ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^2 x sys(2,2)^2^1)'),
+        ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^2 x sys(2,2)^2^1)'),
+        ('lower', 16, 'pseudo-product(cwc(6,4,3)^2^2 x sys(2,1)^2^2)'),
+        ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^1 x sys(2,1)^2^2)'),
+        ('lower', 2, 'pseudo-product(cwc(6,4,3)^2^1 x sys(2,2)^2^1)'),
+        ('lower', 2, 'pseudo-product(cwc(6,4,3)^2^1 x sys(2,2)^2^1)'),
+        ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^1 x sys(2,1)^2^2)'),
+        ('lower', 8, 'concatenation(outer=(2,2)_8, inner=cwc(6,2,3))'),
+        ('lower', 4, 'concatenation(outer=(2,1)_2, inner=cwc(6,6,3))'),
+        ('lower', 2, 'concatenation(outer=(2,2)_2, inner=cwc(6,6,3))'),
+        ('lower', 16, 'concatenation(outer=(2,1)_4, inner=cwc(6,4,3))'),
+        ('lower', 4, 'concatenation(outer=(2,2)_4, inner=cwc(6,4,3))'),
+        ('lower', 4, 'concatenation(outer=(2,1)_2, inner=cwc(6,4,3))'),
+        ('lower', 2, 'concatenation(outer=(2,2)_2, inner=cwc(6,4,3))'),
+        ('lower', 53, 'size-transfer[A(12,4,6)>=121, published-table]'),
+    ],
+    # single word
+    (1, 4, 4, 3): [
+        ('upper', 1, 'johnson-general[distance exceeds diameter]'),
+        ('lower', 1, 'single word'),
+    ],
+    # search
+    (2, 4, 6, 2): [
+        ('upper', 3, 'johnson-general[average-intersection closed form]'),
+        ('lower', 1, 'single word'),
+        ('lower', 2, 'pseudo-product(cwc(4,4,2)^2^1 x sys(2,2)^2^1)'),
+        ('lower', 2, 'pseudo-product(cwc(4,4,2)^2^1 x sys(2,2)^2^1)'),
+        ('lower', 2, 'pseudo-product(cwc(4,4,2)^2^1 x sys(2,2)^2^1)'),
+        ('lower', 2, 'pseudo-product(cwc(4,4,2)^2^1 x sys(2,2)^2^1)'),
+        ('lower', 2, 'pseudo-product(cwc(4,4,2)^2^1 x sys(2,2)^2^1)'),
+        ('lower', 2, 'pseudo-product(cwc(4,4,2)^2^1 x sys(2,2)^2^1)'),
+        ('lower', 2, 'concatenation(outer=(2,2)_2, inner=cwc(4,4,2))'),
+        ('lower', 2, 'concatenation(outer=(2,2)_2, inner=cwc(4,4,2))'),
+        ('lower', 2, 'concatenation(outer=(2,2)_2, inner=cwc(4,4,2))'),
+        ('exact', 2, 'clique-search[complete, nodes=1]'),
+    ],
+}
+
+
+@pytest.mark.parametrize("cell", list(PINNED_RECORDS))
+def test_evaluate_cell_records_pinned(cell):
+    table = BoundTable()
+    evaluate_cell(table, *cell, **({} if cell == (2, 4, 6, 2) else {"vertex_cap": 0}))
+    got = [(r.kind, r.value, r.provenance) for r in table.records[cell]]
+    assert got == PINNED_RECORDS[cell]
+
+
+def test_each_witness_built_once(monkeypatch):
+    pools, witnesses = [], []
+
+    def counted_pool(n, w):
+        pools.append((n, w))
+        return pool(n, w)
+
+    def counted_rs(m, n, d, w):
+        witnesses.append((m, n, d, w))
+        return rs(m, n, d, w)
+
+    pool, rs = bounds_mod.systematic_cwc_pool, bounds_mod.rs_mcwc
+    monkeypatch.setattr(bounds_mod, "systematic_cwc_pool", counted_pool)
+    monkeypatch.setattr(bounds_mod, "rs_mcwc", counted_rs)
+    bounds_mod._construction_candidates.cache_clear()
+    ms, ns, ws = (1, 2, 3), range(2, 10), (1, 2, 3)
+    table = table_build(ms, ns, ws, vertex_cap=0)
+
+    # One ingredient pool per shape whose cells reach the construction rules
+    # (every cell past d = 2).
+    shapes = {(m, n, w) for m, n, d, w in table.cells() if d > 2}
+    assert sorted(pools) == sorted((n, w) for _, n, w in shapes)
+    # rs_mcwc runs only for the records it yields, at most once per cell.
+    built = sorted(
+        rec.cell for cell in table.cells() for rec in table.records[cell]
+        if rec.provenance.startswith(("rs-expand", "power-exact"))
+    )
+    assert len(built) >= 10
+    assert sorted(witnesses) == built and len(set(built)) == len(built)
 
 
 def test_evaluate_cell_distance_two_needs_no_witness(monkeypatch):

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from mcwc import cli
+from mcwc import codes as codes_mod
 from mcwc.cli import main
 from mcwc.codes import WeightProfile, code_read_path, verify_code
 from mcwc.pufsim import device_new, device_save
@@ -476,6 +477,19 @@ def test_verify_pair_cap(tmp_path, capsys, monkeypatch):
     status, out, err = run(["verify", str(path)], capsys)
     assert status == 2 and out == ""
     assert err == "error: UsageError: 3 words give 3 pairs to verify, over the cap of 2\n"
+
+
+def test_verify_indicator_bit_cap(tmp_path, capsys, monkeypatch):
+    # Three words of two ternary symbols are 18 indicator bits.
+    path = tmp_path / "qary.txt"
+    path.write_text(INPUT_FILES["qary.txt"])
+    monkeypatch.setattr(codes_mod, "MAX_INDICATOR_BITS", 18)
+    status, out, _ = run(["verify", str(path)], capsys)
+    assert status == 0 and json.loads(out)["passed"] is True
+    monkeypatch.setattr(codes_mod, "MAX_INDICATOR_BITS", 17)
+    status, out, err = run(["verify", str(path)], capsys)
+    assert status == 2 and out == ""
+    assert err == "error: CodeError: 18 indicator bits exceed the cap of 17\n"
 
 
 def test_sweep_size_checked_before_code_is_verified(tmp_path, capsys, monkeypatch):

@@ -22,6 +22,7 @@ from mcwc.codes import (
     find_systematic_set,
     hamming,
     hamming_distance,
+    indicator_words,
     restriction,
     VerificationReport,
     verify_code,
@@ -121,6 +122,23 @@ def test_verify_qary():
     assert verify_code(code).passed
     bad = QaryCode.from_words([(0, 0), (0, 1)], q=3, claimed_distance=2)
     assert not verify_code(bad).passed
+
+
+def test_indicator_words_layout():
+    # Position 0 is the leftmost q-bit chunk; symbol s sets bit q-1-s of it.
+    code = QaryCode.from_words([(0, 1), (2, 0)], q=3)
+    assert indicator_words(code) == [0b100_010, 0b001_100]
+
+
+def test_indicator_bit_cap(monkeypatch):
+    # 3 words of 2 ternary symbols are 18 indicator bits.
+    code = QaryCode.from_words([(0, 0), (1, 1), (2, 2)], q=3, claimed_distance=2)
+    monkeypatch.setattr(codes_mod, "MAX_INDICATOR_BITS", 18)
+    assert verify_code(code).passed
+    monkeypatch.setattr(codes_mod, "MAX_INDICATOR_BITS", 17)
+    monkeypatch.setattr(codes_mod, "word_limbs", None)  # nothing past the check runs
+    with pytest.raises(CodeError, match="18 indicator bits exceed the cap of 17"):
+        verify_code(code)
 
 
 def _pairwise_oracle(words, claimed):

@@ -5,9 +5,19 @@ from itertools import product
 
 import pytest
 
+import mcwc.codes as codes_mod
 import mcwc.constructions as constructions_mod
-from mcwc.codes import BinaryCode, CodeError, QaryCode, WeightProfile, find_systematic_set, verify_code
+from mcwc.codes import (
+    BinaryCode,
+    CodeError,
+    QaryCode,
+    WeightProfile,
+    find_systematic_set,
+    indicator_words,
+    verify_code,
+)
 from mcwc.constructions import (
+    MAX_INDICATOR_BITS,
     RS_SIZE_CAP,
     ConstructionError,
     append_extend,
@@ -19,6 +29,7 @@ from mcwc.constructions import (
     qary_expand,
     reed_solomon,
     rs_mcwc,
+    rs_mcwc_params,
 )
 from mcwc.gf import field_for_order, field_make
 
@@ -198,6 +209,22 @@ def test_qary_expand_bad_width():
         qary_expand(code, 2)
 
 
+def test_qary_expand_words_are_indicator_words():
+    code = QaryCode.from_words([(0, 1, 2), (2, 0, 1), (1, 1, 0)], q=3, claimed_distance=2)
+    assert qary_expand(code, 1).code.words == tuple(sorted(indicator_words(code)))
+    assert qary_expand(code, 3).code.words == tuple(sorted(indicator_words(code)))
+
+
+def test_qary_expand_indicator_cap(monkeypatch):
+    # 3 words of 2 ternary symbols are 18 indicator bits.
+    code = QaryCode.from_words([(0, 0), (1, 1), (2, 2)], q=3, claimed_distance=2)
+    monkeypatch.setattr(codes_mod, "MAX_INDICATOR_BITS", 18)
+    assert qary_expand(code, 1).size == 3
+    monkeypatch.setattr(codes_mod, "MAX_INDICATOR_BITS", 17)
+    with pytest.raises(CodeError, match="18 indicator bits exceed the cap of 17"):
+        qary_expand(code, 1)
+
+
 # ---------- Reed-Solomon ----------
 
 def test_rs_all_words_when_d1():
@@ -298,6 +325,35 @@ def test_rs_mcwc_cells():
         rs_mcwc(2, 6, 4, 4)  # w does not divide n
     with pytest.raises(ConstructionError):
         rs_mcwc(3, 6, 4, 1)  # q = 6 is not a prime power
+
+
+@pytest.mark.parametrize("m, n, d, w", [(2, 3, 2, 1), (3, 3, 4, 1), (2, 4, 4, 1), (1, 6, 4, 3)])
+def test_rs_mcwc_params_give_witness_size(m, n, d, w):
+    q, s = rs_mcwc_params(m, n, d, w)
+    assert rs_mcwc(m, n, d, w).size == q**s
+
+
+def test_rs_mcwc_params_caps():
+    # 8^5 = RS_SIZE_CAP words pass; 8^6 do not.
+    assert rs_mcwc_params(1, 48, 4, 6) == (8, 5)
+    with pytest.raises(ConstructionError, match="exceed the cap of 32768"):
+        rs_mcwc_params(1, 56, 4, 7)
+    # RS(182, 2) over GF(181) expands to 32,761 words of 181 x 182 bits,
+    # 1.08e9 in all; RS(4097, 1) over GF(4096) would be 6.9e10 bits.
+    assert 181**2 * 181 * 182 <= MAX_INDICATOR_BITS < 4096 * 4096 * 4097
+    assert rs_mcwc_params(1, 181 * 182, 2 * 181, 182) == (181, 2)
+    with pytest.raises(ConstructionError, match="bits exceed"):
+        rs_mcwc_params(1, 4096 * 4097, 2 * 4097, 4097)
+
+
+def test_rs_mcwc_declines_past_field_cap(monkeypatch):
+    # 4099 is prime, but over the largest field GF(q) builds.
+    def no_field(q):
+        raise AssertionError(f"built GF({q})")
+
+    monkeypatch.setattr(constructions_mod, "field_for_order", no_field)
+    with pytest.raises(ConstructionError, match="field order 4099 exceeds cap 4096"):
+        rs_mcwc(2, 4099, 4, 1)
 
 
 def test_construction_size_identities():
