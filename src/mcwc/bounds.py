@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -96,40 +97,16 @@ def _lift(d: int) -> tuple[int, str]:
 
 # ---------- recursive Johnson-style bounds ----------
 
-@lru_cache(maxsize=None)
-def _johnson_m(m: int, n: int, d: int, w: int) -> tuple[int, str]:
-    """Best recursive upper bound for the homogeneous cell; d must be even."""
-    count = comb(n, w) ** m
-    if count <= 1:
-        return 1, "single-word cell"
-    if d <= 2:
-        return count, "membership count"
-    if 2 * m * min(w, n - w) < d:
-        return 1, "distance exceeds diameter"
-
-    best, rule = None, ""
-    if w >= 1:
-        inner, _ = _johnson_m(m, n - 1, d, w - 1)
-        val = (n**m * inner) // (w**m)
-        best, rule = val, f"shrink-weight via ({m},{n - 1},{d},{w - 1})<={inner}"
-    if n - w >= 1:
-        inner, _ = _johnson_m(m, n - 1, d, w)
-        val = (n**m * inner) // ((n - w) ** m)
-        if best is None or val < best:
-            best, rule = val, f"shrink-length via ({m},{n - 1},{d},{w})<={inner}"
-    u = d // 2
-    denom = Fraction(m * w * w, n) - (m * w - u)
-    if denom > 0:
-        val = math.floor(Fraction(u) / denom)
-        if val < best:
-            best, rule = val, "average-intersection closed form"
-    return best, rule
-
-
 def johnson_homogeneous(m: int, n: int, d: int, w: int) -> BoundRecord:
-    """Minimum over the shrink-weight / shrink-length recursions and the closed form."""
+    """Minimum over the shrink-weight / shrink-length recursions and the closed form.
+
+    Each shrink step takes all m blocks; the provenance names the normalised child cell.
+    """
     d_eff, note = _lift(d)
-    value, rule = _johnson_m(m, n, d_eff, w)
+    value, (rule, _, shrunk) = _johnson_t(_normalize_profile(((n, w),)), d_eff // 2, m)
+    if shrunk is not None:
+        inner = _johnson_t(_normalize_profile((shrunk,)), d_eff // 2, m)[0]
+        rule = f"{rule} via ({m},{shrunk[0]},{d_eff},{shrunk[1]})<={inner}"
     return _record(m, n, d, w, "upper", value, f"johnson[{rule}]{note}")
 
 
@@ -140,89 +117,93 @@ def _normalize_profile(parts: tuple[tuple[int, int], ...]) -> tuple[tuple[int, i
     return tuple(sorted(out))
 
 
-# Normalised profile -> (lo, row): row[u - lo] bounds the profile at d = 2u for
-# lo <= u <= W, its total weight; every larger u reads 1.  The values depend on
-# the profile and u alone, so one memo serves every caller in any order.
-_JOHNSON_ROWS: dict[tuple[tuple[int, int], ...], tuple[int, list[int]]] = {}
+Profile = tuple[tuple[int, int], ...]
+# (rule, block index, shrunk block) of a recursion step; no block for the rest.
+Tag = tuple[str, int | None, tuple[int, int] | None]
+
+# copies -> normalised profile -> (lo, row): row[u - lo] bounds the profile at
+# d = 2u for lo <= u <= W, its total weight; every larger u reads 1.  The values
+# depend on the keys and u alone, so one memo serves every caller in any order.
+_JOHNSON_ROWS: defaultdict[int, dict[Profile, tuple[int, list[int]]]] = defaultdict(dict)
 
 
-def _johnson_row(parts: tuple[tuple[int, int], ...], lo: int) -> tuple[int, list[int]]:
-    """(lo', row) with lo' <= lo: the memoised bounds of `parts` from u = lo' up.
+def _johnson_steps(parts: Profile, lo: int, copies: int) -> list[tuple[Tag, list[float]]]:
+    """Each recursion step from `parts` as (tag, bounds for u = lo..W).
 
-    A stored row whose lower limit is above lo is recomputed from lo and
-    replaced.  Needs 2 <= lo <= W.
+    Each block of `parts` stands for `copies` equal blocks, and a shrink step
+    takes all of them: copies is 1 in the heterogeneous recursion and m in
+    the homogeneous one, whose profile is then its one block.  Steps come in
+    tie-break order: the closed form (inf where it does not apply), then
+    shrink-weight and shrink-length per block.  A block equal to the one
+    before it gives the same children, so it is skipped and ties keep the
+    first index.  Needs 2 <= lo <= W.
     """
-    hit = _JOHNSON_ROWS.get(parts)
-    if hit is None or hit[0] > lo:
-        hit = lo, list(map(min, *(bounds for _, bounds in _johnson_steps(parts, lo))))
-        _JOHNSON_ROWS[parts] = hit
-    return hit
-
-
-def _johnson_steps(
-    parts: tuple[tuple[int, int], ...], lo: int
-) -> list[tuple[tuple[str, int | None], list[float]]]:
-    """Each recursion step from `parts` as ((rule, block), bounds for u = lo..W).
-
-    Steps come in tie-break order: the closed form (block None; inf where it
-    does not apply), then shrink-weight and shrink-length per block.  A block
-    equal to the one before it gives the same children, so it is skipped and
-    ties keep the first index.  Needs 2 <= lo <= W.
-    """
-    weights = sum(w_i for _, w_i in parts)
+    weights = copies * sum(w_i for _, w_i in parts)
     # u / (sum w_i^2/n_i - (W - u)), with numerator and divisor scaled by N.
     total = math.prod(n_i for n_i, _ in parts)
-    base = sum(w_i * w_i * (total // n_i) for n_i, w_i in parts) - weights * total
-    steps = [(("average-intersection closed form", None), [
-        u * total // (base + u * total) if base + u * total > 0 else INF
+    base = copies * sum(w_i * w_i * (total // n_i) for n_i, w_i in parts) - weights * total
+    steps = [(("average-intersection closed form", None, None), [
+        u * total // den if (den := base + u * total) > 0 else INF
         for u in range(lo, weights + 1)
     ])]
+    rows = _JOHNSON_ROWS[copies]
     for i, (n_i, w_i) in enumerate(parts):
         if i and parts[i - 1] == parts[i]:
             continue
         rest = parts[:i] + parts[i + 1:]
-        # (rule, shrunk block, divisor of n_i * T(child)), weight step first.
+        scale = n_i**copies
+        # (rule, shrunk block, divisor of n_i * T(child) per copy), weight step first.
         shrinks = [("shrink-weight", (n_i - 1, w_i - 1), w_i)] if w_i else []
         shrinks.append(("shrink-length", (n_i - 1, min(w_i, n_i - 1 - w_i)), n_i - w_i))
         for rule, block, divisor in shrinks:
-            child_weights = weights - w_i + block[1]
+            divisor **= copies
+            child_weights = weights + copies * (block[1] - w_i)
             inner = []
             if child_weights >= lo:
                 child = list(rest)
                 if block[0]:
                     insort(child, block)
-                child_lo, row = _johnson_row(tuple(child), lo)
+                child = tuple(child)
+                # A memoised row whose lower limit is above lo is worked out again.
+                hit = rows.get(child)
+                if hit is None or hit[0] > lo:
+                    hit = lo, list(map(min, *(b for _, b in _johnson_steps(child, lo, copies))))
+                    rows[child] = hit
+                child_lo, row = hit
                 inner = row[lo - child_lo:]
             # T(child) is 1 above the child's total weight.
-            bounds = [n_i * x // divisor for x in inner]
-            bounds += [n_i // divisor] * (weights - max(child_weights, lo - 1))
-            steps.append(((rule, i), bounds))
+            bounds = [scale * x // divisor for x in inner]
+            bounds += [scale // divisor] * (weights - max(child_weights, lo - 1))
+            steps.append(((rule, i, block), bounds))
     return steps
 
 
-def _johnson_t(parts: tuple[tuple[int, int], ...], u: int) -> tuple[int, str]:
-    """Heterogeneous recursion at d = 2u; parts normalized."""
-    weights = sum(w_i for _, w_i in parts)
+def _johnson_t(parts: Profile, u: int, copies: int) -> tuple[int, Tag]:
+    """(bound, tag of the deciding rule) at d = 2u; parts normalized."""
+    weights = copies * sum(w_i for _, w_i in parts)
     if weights == 0:  # normalised blocks have w_i <= n_i/2: one word iff W = 0
-        return 1, "single-word cell"
+        return 1, ("single-word cell", None, None)
     if u <= 1:
-        return math.prod(comb(n_i, w_i) for n_i, w_i in parts), "membership count"
+        count = math.prod(comb(n_i, w_i) for n_i, w_i in parts) ** copies
+        return count, ("membership count", None, None)
     if u > weights:
-        return 1, "distance exceeds diameter"
-    steps = _johnson_steps(parts, u)
+        return 1, ("distance exceeds diameter", None, None)
+    steps = _johnson_steps(parts, u, copies)
     best = min(bounds[0] for _, bounds in steps)
-    rule, block = next(tag for tag, bounds in steps if bounds[0] == best)
-    return best, rule if block is None else f"{rule} block {block}"
+    return best, next(tag for tag, bounds in steps if bounds[0] == best)
 
 
 def johnson_general(profile: WeightProfile, d: int) -> BoundRecord:
     """Recursive bound for an arbitrary (possibly heterogeneous) weight profile.
 
-    Each normalised profile in the recursion is worked out once for every d
-    from the smallest one asked of it upward, in integer arithmetic.
+    Each shrink step takes one block.  Each normalised profile in the recursion
+    is worked out once for every d from the smallest one asked of it upward,
+    in integer arithmetic.
     """
     d_eff, note = _lift(d)
-    value, rule = _johnson_t(_normalize_profile(profile.parts), d_eff // 2)
+    value, (rule, block, _) = _johnson_t(_normalize_profile(profile.parts), d_eff // 2, 1)
+    if block is not None:
+        rule = f"{rule} block {block}"
     return BoundRecord(profile, d, "upper", value, f"johnson-general[{rule}]{note}")
 
 

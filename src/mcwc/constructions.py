@@ -36,6 +36,9 @@ CONSTRUCTION_SIZE_CAP = 512
 # Largest Reed-Solomon code (q^k words) reed_solomon builds; rs_mcwc's
 # witnesses, verified pairwise after expansion, stay under it too.
 RS_SIZE_CAP = 64 * CONSTRUCTION_SIZE_CAP
+# Most symbols (words x length) reed_solomon builds.  It is above RS(182, 2)
+# over GF(181), 5,962,502 symbols, the largest code rs_mcwc_params accepts.
+RS_SYMBOL_CAP = 1 << 23
 
 
 class ConstructionError(ValueError):
@@ -243,7 +246,8 @@ def reed_solomon(field: Field, length: int, d: int) -> QaryCode:
     length q+1 is allowed, adding the coefficient of x^(k-1) as an extra
     coordinate (singly-extended code).  The code is MDS: minimum distance is
     verified to be exactly d via the minimum weight of the (linear) code.
-    A code of more than RS_SIZE_CAP words is refused before any is built.
+    A code of more than RS_SIZE_CAP words, or RS_SYMBOL_CAP symbols, is
+    refused before any word is built.
     """
     import numpy as np  # imported on first use, as in mcwc.clique
 
@@ -256,6 +260,11 @@ def reed_solomon(field: Field, length: int, d: int) -> QaryCode:
     if q**k > RS_SIZE_CAP:
         raise ConstructionError(
             f"RS({length},{k})_{q} has {q}^{k} = {q**k} words, over the cap of {RS_SIZE_CAP}"
+        )
+    if q**k * length > RS_SYMBOL_CAP:
+        raise ConstructionError(
+            f"RS({length},{k})_{q} has {q**k} x {length} = {q**k * length} symbols, "
+            f"over the cap of {RS_SYMBOL_CAP}"
         )
     extended = length == q + 1
 

@@ -58,6 +58,10 @@ def verify_design(design: ResolvableDesign, *, require_complete: bool = True) ->
     holding only some parallel classes); the block-intersection property that
     drives the code distance survives, and downstream bounds then reflect the
     ingested object's actual class count rather than the full-design formula.
+
+    Distinct blocks share at most t-1 points, which is what drives the code
+    distance, and needs no pairwise pass: two blocks sharing t points would
+    cover one t-subset twice, which the coverage check refuses in both modes.
     """
     v, k, t = design.v, design.k, design.t
     if t < 1 or k < t or v < k or v % k:
@@ -77,18 +81,12 @@ def verify_design(design: ResolvableDesign, *, require_complete: bool = True) ->
     coverage: dict[tuple[int, ...], int] = {}
     for cls in design.classes:
         for block in cls:
-            for sub in combinations(block, t):
+            for sub in combinations(sorted(block), t):
                 coverage[sub] = coverage.get(sub, 0) + 1
     for sub in combinations(range(v), t):
         count = coverage.get(sub, 0)
         if count > 1 or (require_complete and count != 1):
             raise DesignError(f"{t}-subset {sub} covered {count} times")
-
-    # Pairwise block intersections <= t-1; this is what drives the code distance.
-    blocks = [block for cls in design.classes for block in cls]
-    for b1, b2 in combinations(blocks, 2):
-        if len(set(b1) & set(b2)) > t - 1:
-            raise DesignError(f"blocks {b1} and {b2} share more than {t - 1} points")
 
 
 def affine_plane(q: int) -> ResolvableDesign:

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -221,6 +222,59 @@ def test_johnson_general_matches_reference_in_any_order():
     bounds_mod._JOHNSON_ROWS.clear()
     for parts, d in cases:
         assert johnson_general_pair(parts, d) == reference_johnson_general(parts, d), (parts, d)
+
+
+@lru_cache(maxsize=None)
+def reference_johnson_homogeneous(m, n, d, w):
+    """The paper's homogeneous recursion, all m blocks shrunk per step; d even."""
+    count = comb(n, w) ** m
+    if count <= 1:
+        return 1, "single-word cell"
+    if d <= 2:
+        return count, "membership count"
+    if 2 * m * min(w, n - w) < d:
+        return 1, "distance exceeds diameter"
+
+    best, rule = None, ""
+    if w >= 1:
+        inner, _ = reference_johnson_homogeneous(m, n - 1, d, w - 1)
+        val = (n**m * inner) // (w**m)
+        best, rule = val, f"shrink-weight via ({m},{n - 1},{d},{w - 1})<={inner}"
+    if n - w >= 1:
+        inner, _ = reference_johnson_homogeneous(m, n - 1, d, w)
+        val = (n**m * inner) // ((n - w) ** m)
+        if best is None or val < best:
+            best, rule = val, f"shrink-length via ({m},{n - 1},{d},{w})<={inner}"
+    u = d // 2
+    denom = Fraction(m * w * w, n) - (m * w - u)
+    if denom > 0:
+        val = math.floor(Fraction(u) / denom)
+        if val < best:
+            best, rule = val, "average-intersection closed form"
+    return best, rule
+
+
+def test_johnson_homogeneous_matches_reference_in_any_order():
+    cells = [
+        (m, n, d, w)
+        for m in range(1, 5)
+        for n in range(0, 15)
+        for w in range(0, n + 1)
+        for d in range(-2, 2 * m * n + 3)
+    ]
+    assert len(cells) == 24_800
+    random.Random(20142).shuffle(cells)
+    bounds_mod._JOHNSON_ROWS.clear()
+    for m, n, d, w in cells:
+        rec = johnson_homogeneous(m, n, d, w)
+        d_eff, _ = bounds_mod._lift(d)
+        assert rec.value == reference_johnson_homogeneous(m, n, d_eff, w)[0], (m, n, d, w)
+        # A shrink step names its child cell and that cell's true bound.
+        via = re.search(r" via \((\d+),(\d+),(\d+),(\d+)\)<=(\d+)\]", rec.provenance)
+        if via is not None:
+            m_c, n_c, d_c, w_c, inner = map(int, via.groups())
+            assert (m_c, n_c, d_c) == (m, n - 1, d_eff), (m, n, d, w)
+            assert inner == reference_johnson_homogeneous(m, n_c, d_c, w_c)[0], (m, n, d, w)
 
 
 @pytest.mark.parametrize("parts", [((9, 4),) * 4] + list(HETEROGENEOUS_PROFILES[3:]))

@@ -382,6 +382,9 @@ PUF_SIM = ["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "10"]
         # argv48 on: 64^7 Reed-Solomon words, refused before any is built
         ["construct", "rs", "--q", "64", "--len", "16", "--d", "10"],
         ["construct", "rs", "--q", "64", "--len", "16", "--d", "10", "--expand"],
+        # 4,096 words x 4,097 symbols, refused before any word is built
+        ["construct", "rs", "--q", "4096", "--len", "4097", "--d", "4097"],
+        ["construct", "rs", "--q", "4096", "--len", "4097", "--d", "4097", "--expand"],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):

@@ -19,6 +19,7 @@ from mcwc.codes import (
 from mcwc.constructions import (
     MAX_INDICATOR_BITS,
     RS_SIZE_CAP,
+    RS_SYMBOL_CAP,
     ConstructionError,
     append_extend,
     builtin_code,
@@ -31,7 +32,7 @@ from mcwc.constructions import (
     rs_mcwc,
     rs_mcwc_params,
 )
-from mcwc.gf import field_for_order, field_make
+from mcwc.gf import DEFAULT_ORDER_CAP, field_for_order, field_make
 
 
 def cwc(words, n, d, w):
@@ -311,6 +312,37 @@ def test_rs_size_cap():
     for q, length, d in ((8, 6, 1), (32, 4, 1), (64, 16, 10), (4096, 3, 1)):
         with pytest.raises(ConstructionError, match="over the cap"):
             reed_solomon(field_for_order(q), length, d)
+
+
+def test_rs_symbol_cap(monkeypatch):
+    # RS(5, 2) over GF(4): 16 words x 5 symbols, built at a cap of 80, refused at 79.
+    monkeypatch.setattr(constructions_mod, "RS_SYMBOL_CAP", 80)
+    assert len(reed_solomon(field_for_order(4), 5, 4).words) == 16
+    monkeypatch.setattr(constructions_mod, "RS_SYMBOL_CAP", 79)
+    with pytest.raises(ConstructionError, match="16 x 5 = 80 symbols, over the cap of 79"):
+        reed_solomon(field_for_order(4), 5, 4)
+
+
+def test_rs_symbol_cap_admits_every_rs_mcwc_code():
+    # rs_mcwc builds RS(m*w, d/2) over GF(n/w), so cells (L, q, d, 1) reach every
+    # code it accepts; for each q and s = L - d/2 + 1, acceptance falls as L grows.
+    def accepted(q, s, length):
+        try:
+            return rs_mcwc_params(length, q, 2 * (length - s + 1), 1) == (q, s)
+        except ConstructionError:
+            return False
+
+    largest = 0
+    for q in range(2, DEFAULT_ORDER_CAP + 1):
+        s = 1
+        while accepted(q, s, s):
+            lo, hi = s, q + 1
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                lo, hi = (mid, hi) if accepted(q, s, mid) else (lo, mid - 1)
+            largest = max(largest, q**s * lo)
+            s += 1
+    assert largest == 181**2 * 182 <= RS_SYMBOL_CAP
 
 
 def test_rs_mcwc_cells():

@@ -121,6 +121,18 @@ def test_verify_design_catches_corruption():
         verify_design(doubled)
 
 
+@pytest.mark.parametrize("require_complete", [True, False])
+def test_verify_design_refuses_blocks_sharing_t_points(require_complete):
+    # Blocks 012 and 013 share the pair 01, so it is covered twice.
+    shared = ResolvableDesign(6, 3, 2, (((0, 1, 2), (3, 4, 5)), ((0, 1, 3), (2, 4, 5))))
+    with pytest.raises(DesignError, match=r"2-subset \(0, 1\) covered 2 times"):
+        verify_design(shared, require_complete=require_complete)
+    # The same when a block lists its points out of order.
+    unsorted = ResolvableDesign(4, 2, 2, (((0, 1), (2, 3)), ((1, 0), (3, 2))))
+    with pytest.raises(DesignError, match=r"2-subset \(0, 1\) covered 2 times"):
+        verify_design(unsorted, require_complete=require_complete)
+
+
 def test_design_file_round_trip():
     design = one_factorization(6)
     buf = io.StringIO()
