@@ -387,7 +387,7 @@ def _adjacency(words: Sequence[int], d: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ReferenceValue:
-    kind: str  # "A" (constant-weight), "Aq" (q-ary), "B" (binary linear)
+    kind: str  # "A": binary constant-weight, the one kind read
     q: int
     n: int
     d: int
@@ -410,15 +410,11 @@ A,2,8,4,4,14,14,exhaustive-search
 A,2,12,4,6,121,,published-table
 A,2,28,14,14,49,,published-table
 A,2,28,4,14,1530169,,published-table
-Aq,3,2,2,,3,3,mds-singleton
-B,2,4,2,,8,8,linear-tables
-B,2,6,4,,4,4,linear-tables
-B,2,8,4,,16,16,linear-tables
 """
 
 
 class ReferenceStore:
-    """Ingested best-known values for A(n,d,w), A_q(n,d) and B(n,d)."""
+    """Ingested best-known values for A(n,d,w)."""
 
     def __init__(self, rows: Iterable[ReferenceValue] = ()):
         self._rows: dict[tuple, ReferenceValue] = {}
@@ -446,12 +442,6 @@ class ReferenceStore:
     def cwc(self, n: int, d: int, w: int) -> ReferenceValue | None:
         return self._rows.get(("A", 2, n, d, w))
 
-    def qary(self, q: int, n: int, d: int) -> ReferenceValue | None:
-        return self._rows.get(("Aq", q, n, d, None))
-
-    def linear(self, n: int, d: int) -> ReferenceValue | None:
-        return self._rows.get(("B", 2, n, d, None))
-
     @classmethod
     def from_csv(cls, text: str) -> "ReferenceStore":
         rows = []
@@ -466,6 +456,8 @@ class ReferenceStore:
                 rows.append(ReferenceValue(kind, int(q), int(n), int(d), *optional, source))
             except ValueError as exc:
                 raise ReferenceFormatError(f"bad reference row {ln!r}") from exc
+            if (rows[-1].kind, rows[-1].q) != ("A", 2):
+                raise ReferenceFormatError(f"reference row {ln!r} is not of kind A with q=2")
         return cls(rows)
 
 

@@ -2,12 +2,13 @@
 
 Binary words are packed into Python ints: coordinate j (0-based, reading the
 word left to right) is bit (length-1-j), so ``format(word, f"0{n}b")`` prints
-the word in natural order.  q-ary words are tuples of symbol indices.
-Verification reads a q-ary word as its indicator int (indicator_words, the
-layout q-ary expansion builds); two indicator ints differ in twice as many
-bits as their words differ in symbols, so one XOR-popcount kernel serves both
-alphabets.  The kernel splits words into uint64 limbs and works in numpy over
-row tiles of a bounded byte size.
+the word in natural order.  A q-ary code holds its words as one 2-D numpy
+array, one row per word in the narrowest unsigned dtype that holds q-1, from
+the encoder through the file to the verifier.  One kernel verifies both
+alphabets in numpy over row tiles of a bounded byte size: binary words split
+into uint64 limbs and differ by XOR popcount, q-ary words are compared symbol
+by symbol, in memory of words x length x dtype bytes.  Only q-ary expansion
+builds the symbol-indicator layout (indicator_words).
 """
 
 from __future__ import annotations
@@ -88,10 +89,6 @@ def word_blocks(word: int, profile: WeightProfile) -> tuple[int, ...]:
     return tuple(out)
 
 
-def block_weights(word: int, profile: WeightProfile) -> tuple[int, ...]:
-    return tuple(b.bit_count() for b in word_blocks(word, profile))
-
-
 def word_to_str(word: int, length: int) -> str:
     return format(word, f"0{length}b")
 
@@ -112,11 +109,6 @@ def hamming_distance(u: Wordlike, v: Wordlike) -> int:
     if len(u) != len(v):
         raise CodeError(f"length mismatch: {len(u)} vs {len(v)}")
     return sum(a != b for a, b in zip(u, v))
-
-
-def hamming(u: int, v: int) -> int:
-    """Distance between two packed binary words of equal length."""
-    return (u ^ v).bit_count()
 
 
 # ---------- codes ----------
@@ -172,52 +164,68 @@ class BinaryCode:
                 raise CodeError(f"duplicate word {word_to_str(a, length)}")
         return cls(length, tuple(packed), claimed_distance, profile)
 
-    def __len__(self) -> int:
-        return len(self.words)
-
     def word_strings(self) -> list[str]:
         return [word_to_str(wd, self.length) for wd in self.words]
 
 
-@dataclass(frozen=True)
+def _symbol_dtype(q: int):
+    """The narrowest unsigned numpy dtype that holds the symbols 0..q-1."""
+    import numpy as np
+
+    if not 2 <= q <= 1 << 64:
+        raise CodeError(f"alphabet size {q} is not in 2..2^64")
+    return np.min_scalar_type(q - 1)
+
+
+@dataclass(frozen=True, eq=False)
 class QaryCode:
-    """A set of equal-length words over the alphabet {0, ..., q-1}."""
+    """A set of equal-length words over the alphabet {0, ..., q-1}.
+
+    words is a 2-D numpy array, one row per word, in the narrowest unsigned
+    dtype that holds q-1; its rows are sorted and distinct.
+    """
 
     q: int
     length: int
-    words: tuple[tuple[int, ...], ...]
+    words: object  # numpy array of shape (word count, length)
     claimed_distance: int = 0
 
     def __post_init__(self):
-        if self.q < 2:
-            raise CodeError("alphabet size must be >= 2")
-        prev = None
-        for wd in self.words:
-            if len(wd) != self.length:
-                raise CodeError("mixed word lengths")
-            if any(not 0 <= s < self.q for s in wd):
-                raise CodeError(f"symbol out of range in {wd}")
-            if prev is not None and wd <= prev:
-                raise CodeError("words must be strictly increasing (sorted, distinct)")
-            prev = wd
+        import numpy as np
+
+        words, dtype = self.words, _symbol_dtype(self.q)
+        if words.dtype != dtype or words.shape[1:] != (self.length,) or self.length < 1:
+            raise CodeError(f"words must be a 2-D {dtype} array of {self.length} >= 1 columns")
+        if words.size and words.max() >= self.q:
+            raise CodeError(f"symbol {words.max()} out of range for q={self.q}")
+        # Each word against the next, at the first position where they differ.
+        differ = words[:-1] != words[1:]
+        rows, first = np.arange(len(differ)), differ.argmax(axis=1)
+        if not differ[rows, first].all():
+            raise CodeError(f"duplicate word {words[differ[rows, first].argmin()].tolist()}")
+        if (words[rows, first] > words[rows + 1, first]).any():
+            raise CodeError("words must be sorted")
 
     @classmethod
     def from_words(
         cls, words: Iterable[Sequence[int]], q: int, length: int | None = None,
         claimed_distance: int = 0,
     ) -> "QaryCode":
-        tup = sorted(tuple(int(s) for s in wd) for wd in words)
-        for a, b in zip(tup, tup[1:]):
-            if a == b:
-                raise CodeError(f"duplicate word {a}")
-        if length is None:
-            if not tup:
-                raise CodeError("length required for an empty code")
-            length = len(tup[0])
-        return cls(q, length, tuple(tup), claimed_distance)
+        """The code of `words` (sequences of ints, or rows of an int array) in any order."""
+        import numpy as np
 
-    def __len__(self) -> int:
-        return len(self.words)
+        if not isinstance(words, np.ndarray):
+            words = list(words)
+            try:
+                words = np.array(words, dtype=np.uint64).reshape(len(words), length or -1)
+            except (ValueError, OverflowError) as exc:
+                raise CodeError(f"words are not rows of symbols in 0..2^64-1: {exc}") from exc
+        if words.size and words.max() >= q:
+            raise CodeError(f"symbol out of range for q={q}")
+        words = words.astype(_symbol_dtype(q), copy=False)
+        if words.shape[1]:  # lexsort needs a key
+            words = words[np.lexsort(words.T[::-1])]
+        return cls(q, words.shape[1], words, claimed_distance)
 
 
 Code = Union[BinaryCode, QaryCode]
@@ -242,9 +250,10 @@ class VerificationReport:
         )
 
 
-# Bytes of one XOR temporary in a distance tile (one limb of a tile's rows
-# against its columns): a tile's row count follows from the word count alone,
-# so its temporaries stay near this for any word width.
+# Bytes of one comparison temporary in a distance tile (one limb or symbol
+# position of a tile's rows against its columns): a tile's row count follows
+# from the word count and element width alone, so its temporaries stay near
+# this for any word length.
 TILE_BYTES = 1 << 18
 
 
@@ -263,21 +272,25 @@ def word_limbs(words: Sequence[int], bits: int):
     return np.ascontiguousarray(np.frombuffer(raw, dtype="<u8").reshape(len(words), width).T)
 
 
-def distance_tiles(limbs, later: bool = False) -> Iterator[tuple[int, object]]:
-    """Yield (start, dist) over consecutive tiles of the words of word_limbs.
+def distance_tiles(parts, later: bool = False, symbols: bool = False) -> Iterator[tuple[int, object]]:
+    """Yield (start, dist) over consecutive tiles of the words whose parts are given.
 
-    dist[r, c] is the XOR popcount of words start + r and c, summed over the
-    limbs in the narrowest unsigned dtype that holds the word width.  With
-    `later` each tile is set against the words after its first word only:
-    dist[r, c] pairs words start + r and start + 1 + c, entries with c < r
-    hold the dtype's maximum (above any distance), and the last word, which
-    has no later word, starts no tile.
+    Row l of `parts` holds part l of every word: its uint64 limb l from
+    word_limbs or, with `symbols`, its q-ary symbol at position l.  dist[r, c]
+    is the distance between words start + r and c, summed over the parts in the
+    narrowest unsigned dtype that holds the word width: the XOR popcount of
+    limbs, or the count of unequal symbols.  With `later` each tile is set
+    against the words after its first word only: dist[r, c] pairs words
+    start + r and start + 1 + c, entries with c < r hold the dtype's maximum
+    (which no distance exceeds, and row 0 has no such entry), and the last
+    word, which has no later word, starts no tile.
     """
     import numpy as np
 
-    width, count = limbs.shape
-    dtype = np.min_scalar_type(64 * width)
-    rows = max(1, min(count, TILE_BYTES // (8 * max(1, count))))
+    width, count = parts.shape
+    dtype = np.min_scalar_type(width if symbols else 64 * width)
+    differ = np.not_equal if symbols else lambda a, b: np.bitwise_count(a ^ b)
+    rows = max(1, min(count, TILE_BYTES // (parts.itemsize * max(1, count))))
     index = np.arange(rows)
     below = index[:, None] > index  # c < r within a later tile
     stop = count - 1 if later else count
@@ -285,8 +298,8 @@ def distance_tiles(limbs, later: bool = False) -> Iterator[tuple[int, object]]:
         end = min(start + rows, stop)
         columns = start + 1 if later else 0
         dist = np.zeros((end - start, count - columns), dtype=dtype)
-        for limb in limbs:
-            dist += np.bitwise_count(limb[start:end, None] ^ limb[None, columns:])
+        for part in parts:
+            dist += differ(part[start:end, None], part[None, columns:])
         if later:
             n = end - start
             dist[:, :n][below[:n, :n]] = np.iinfo(dtype).max
@@ -308,9 +321,9 @@ def indicator_words(code: QaryCode) -> list[int]:
     if bits > MAX_INDICATOR_BITS:
         raise CodeError(f"{bits} indicator bits exceed the cap of {MAX_INDICATOR_BITS}")
     words = []
-    for symbols in code.words:
+    for row in code.words:
         word = 0
-        for s in symbols:
+        for s in row.tolist():
             word = (word << q) | (1 << (q - 1 - s))
         words.append(word)
     return words
@@ -327,17 +340,15 @@ def verify_code(code: Code) -> VerificationReport:
     if len(code.words) == 0:
         raise CodeError("cannot verify an empty code")
 
-    if isinstance(code, BinaryCode):
-        limbs, scale = word_limbs(code.words, code.length), 1
-    else:
-        limbs, scale = word_limbs(indicator_words(code), code.q * code.length), 2
+    binary = isinstance(code, BinaryCode)
+    parts = word_limbs(code.words, code.length) if binary else np.ascontiguousarray(code.words.T)
     violations: list[tuple[int, int, int, int]] = []
-    if isinstance(code, BinaryCode) and code.profile is not None:
+    if binary and code.profile is not None:
         masks = word_limbs(code.profile.masks(), code.length).T
         want = [w_i for _, w_i in code.profile.parts]
         got = np.empty((len(code.words), len(want)), dtype=np.int64)
         for bi, mask in enumerate(masks):
-            got[:, bi] = np.bitwise_count(limbs & mask[:, None]).sum(axis=0)
+            got[:, bi] = np.bitwise_count(parts & mask[:, None]).sum(axis=0)
         # nonzero lists the (word, block) entries in row-major order.
         bad_words, bad_blocks = np.nonzero(got != want)
         violations = [
@@ -347,14 +358,12 @@ def verify_code(code: Code) -> VerificationReport:
 
     min_dist: float = math.inf
     closest = None
-    for start, dist in distance_tiles(limbs, later=True):
+    for start, dist in distance_tiles(parts, later=True, symbols=not binary):
         # argmin takes the first minimum in row-major order, so with tiles in
         # row order and a strict improvement test the first pair wins a tie.
         r, c = divmod(int(dist.argmin()), dist.shape[1])
         if dist[r, c] < min_dist:
             min_dist, closest = int(dist[r, c]), (start + r, start + 1 + c)
-    if closest is not None:
-        min_dist //= scale
 
     passed = min_dist >= code.claimed_distance and not violations
     return VerificationReport(min_dist, code.claimed_distance, tuple(violations), closest, passed)
@@ -426,11 +435,13 @@ def code_write(f: TextIO, code: Code, extra_comments: Sequence[str] = ()) -> Non
             f.write(word_to_str(wd, code.length) + "\n")
     else:
         f.write(f"# code q={code.q} len={code.length} d={code.claimed_distance} profile=none\n")
-        for wd in code.words:
-            f.write(",".join(str(s) for s in wd) + "\n")
+        for row in code.words:
+            f.write(",".join(map(str, row.tolist())) + "\n")
 
 
 def code_read(f: TextIO) -> Code:
+    import numpy as np
+
     header = None
     body: list[str] = []
     for raw in f:
@@ -458,6 +469,8 @@ def code_read(f: TextIO) -> Code:
         d = int(fields["d"])
     except (KeyError, ValueError) as exc:
         raise CodeError(f"malformed header {header!r}") from exc
+    if length < 0:
+        raise CodeError(f"malformed header {header!r}")
     profile = None
     if fields.get("profile", "none") != "none":
         profile = WeightProfile.parse(fields["profile"])
@@ -467,14 +480,15 @@ def code_read(f: TextIO) -> Code:
             if len(line) != length:
                 raise CodeError(f"word {line!r} does not have length {length}")
         return BinaryCode.from_words(body, length, d, profile)
-    words = []
-    for line in body:
+    words = np.empty((len(body), length), dtype=_symbol_dtype(q))
+    for i, line in enumerate(body):
         try:
-            words.append(tuple(int(s) for s in line.split(",")))
-        except ValueError as exc:
+            row = np.array(line.split(","), dtype=np.uint64)
+        except (ValueError, OverflowError) as exc:
             raise CodeError(f"bad symbol line {line!r}") from exc
-        if len(words[-1]) != length:
-            raise CodeError(f"word {line!r} does not have length {length}")
+        if len(row) != length or row.max() >= q:
+            raise CodeError(f"word {line!r} is not {length} symbols below q={q}")
+        words[i] = row
     return QaryCode.from_words(words, q, length, d)
 
 

@@ -107,7 +107,7 @@ class Field:
     def q(self) -> int:
         return self.p**self.k
 
-    def _check(self, a: int, b: int = 0) -> None:
+    def _check(self, a: int, b: int) -> None:
         q = len(self.log)
         if not (type(a) is type(b) is int and 0 <= a < q and 0 <= b < q):
             bad = b if type(a) is int and 0 <= a < q else a
@@ -127,12 +127,6 @@ class Field:
         if a == 0 or b == 0:
             return 0
         return self.exp[self.log[a] + self.log[b]]
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.exp[-self.log[a]]  # g^(2(q-1) - log a)
 
     def tables(self):
         """(add, mul): q-by-q numpy arrays with add[a, b] = a + b and mul[a, b] = a * b.

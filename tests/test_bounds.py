@@ -742,18 +742,15 @@ def test_evaluate_cell_distance_two_needs_no_witness(monkeypatch):
 # ---------- references ----------
 
 def test_reference_csv_round_trip():
-    csv = (
-        "kind,q,n,d,w,lower,upper,source\n"
-        "A,2,5,4,2,2,2,unit-test\n"
-        "Aq,4,3,2,,16,16,unit-test\n"
-        "B,2,5,2,,16,,unit-test\n"
-    )
-    refs = ReferenceStore.from_csv(csv)
-    assert refs.cwc(5, 4, 2).lower == 2
-    assert refs.qary(4, 3, 2).upper == 16
-    assert refs.linear(5, 2).lower == 16 and refs.linear(5, 2).upper is None
+    header = "kind,q,n,d,w,lower,upper,source\n"
+    refs = ReferenceStore.from_csv(header + "A,2,5,4,2,2,,unit-test\n")
+    assert refs.cwc(5, 4, 2).lower == 2 and refs.cwc(5, 4, 2).upper is None
     with pytest.raises(ValueError):
         ReferenceStore.from_csv("bad,header\n")
+    # Only binary constant-weight rows are read; any other row is refused.
+    for row in ("Aq,4,3,2,,16,16,unit-test", "B,2,5,2,,16,,unit-test", "A,3,5,4,2,2,2,unit-test"):
+        with pytest.raises(ReferenceFormatError, match="is not of kind A with q=2"):
+            ReferenceStore.from_csv(header + row + "\n")
 
 
 def test_reference_merge_conflict():

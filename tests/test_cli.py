@@ -1,13 +1,16 @@
 """End-to-end CLI tests: exit codes, file outputs, manifests, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations
 
 import pytest
 
+import mcwc
 from mcwc import cli
-from mcwc import codes as codes_mod
 from mcwc.cli import main
 from mcwc.codes import WeightProfile, code_read_path, verify_code
 from mcwc.pufsim import device_new, device_save
@@ -308,6 +311,13 @@ INPUT_FILES = {
                    '"noise_sigma": 0.001, "seed": 0}',
     "design.txt": "# design v=4 k=2 t=2\n0,1|2,3\n0,2|1,3\n0,3|1,2\n",
     "qary.txt": "# code q=3 len=2 d=2 profile=none\n0,0\n1,1\n2,2\n",
+    "kind_b.csv": "kind,q,n,d,w,lower,upper,source\nB,2,8,4,,16,16,linear-tables\n",
+    "kind_z.csv": "kind,q,n,d,w,lower,upper,source\nZ,2,8,4,4,99,99,typo\n",
+    # q-ary files whose words do not fit a fixed-width symbol array
+    "qary_huge.txt": f"# code q={2**65} len=2 d=1 profile=none\n0,{2**64}\n1,1\n",
+    "qary_negative.txt": "# code q=3 len=2 d=1 profile=none\n0,-1\n1,1\n",
+    "qary_ragged.txt": "# code q=3 len=2 d=1 profile=none\n0,1\n1,1,2\n",
+    "qary_duplicate.txt": "# code q=3 len=2 d=1 profile=none\n0,1\n0,1\n",
 }
 ZERO_EPS = str([[[0.0, 0.0]] * 4] * 2)
 PUF_SIM = ["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "10"]
@@ -385,6 +395,17 @@ PUF_SIM = ["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "10"]
         # 4,096 words x 4,097 symbols, refused before any word is built
         ["construct", "rs", "--q", "4096", "--len", "4097", "--d", "4097"],
         ["construct", "rs", "--q", "4096", "--len", "4097", "--d", "4097", "--expand"],
+    ]
+    + [
+        # argv52 on: reference rows of a kind no rule reads
+        ["bound", "--m", "1", "--n", "8", "--d", "4", "--w", "4", "--refs", f"{{tmp}}/{name}"]
+        for name in ("kind_b.csv", "kind_z.csv")
+    ]
+    + [
+        # argv54 on: bad q-ary files
+        argv + [f"{{tmp}}/qary_{bad}.txt"]
+        for bad in ("huge", "negative", "ragged", "duplicate")
+        for argv in (["verify"], ["construct", "qary-expand", "--w", "1", "--code"])
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
@@ -482,17 +503,22 @@ def test_verify_pair_cap(tmp_path, capsys, monkeypatch):
     assert err == "error: UsageError: 3 words give 3 pairs to verify, over the cap of 2\n"
 
 
-def test_verify_indicator_bit_cap(tmp_path, capsys, monkeypatch):
-    # Three words of two ternary symbols are 18 indicator bits.
-    path = tmp_path / "qary.txt"
-    path.write_text(INPUT_FILES["qary.txt"])
-    monkeypatch.setattr(codes_mod, "MAX_INDICATOR_BITS", 18)
-    status, out, _ = run(["verify", str(path)], capsys)
-    assert status == 0 and json.loads(out)["passed"] is True
-    monkeypatch.setattr(codes_mod, "MAX_INDICATOR_BITS", 17)
-    status, out, err = run(["verify", str(path)], capsys)
-    assert status == 2 and out == ""
-    assert err == "error: CodeError: 18 indicator bits exceed the cap of 17\n"
+def test_rs_at_symbol_cap_peaks_under_100_mb(tmp_path):
+    # RS(2888, 1) over GF(2887) is 8.3M symbols, just under RS_SYMBOL_CAP.  The
+    # wrapper child reads the peak of its own child only, not of other tests'.
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'mcwc.cli', *sys.argv[1:]], check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    argv = ["construct", "rs", "--q", "2887", "--len", "2888", "--d", "2888",
+            "--out", str(tmp_path / "rs.txt")]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mcwc.__file__))}
+    done = subprocess.run([sys.executable, "-c", wrapper, *argv], env=env, check=True,
+                          capture_output=True, text=True)
+    status_line, peak_kb = done.stdout.splitlines()
+    assert status_line == "method=rs q=2887 len=2888 d=2888 size=2887"
+    assert int(peak_kb) < 100 * 1024  # ru_maxrss is in kB on Linux
 
 
 def test_sweep_size_checked_before_code_is_verified(tmp_path, capsys, monkeypatch):

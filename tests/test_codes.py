@@ -16,16 +16,15 @@ from mcwc.codes import (
     CodeError,
     QaryCode,
     WeightProfile,
-    block_weights,
     code_read,
     code_write,
     find_systematic_set,
-    hamming,
     hamming_distance,
     indicator_words,
     restriction,
     VerificationReport,
     verify_code,
+    word_blocks,
     word_from_str,
     word_to_str,
 )
@@ -45,10 +44,10 @@ words_st = st.integers(min_value=0, max_value=2**16 - 1)
 @settings(max_examples=200, deadline=None)
 @given(words_st, words_st, words_st)
 def test_hamming_is_a_metric(u, v, t):
-    du_v = hamming(u, v)
-    assert du_v == hamming(v, u)
+    du_v = (u ^ v).bit_count()
+    assert du_v == (v ^ u).bit_count()
     assert (du_v == 0) == (u == v)
-    assert du_v <= hamming(u, t) + hamming(t, v)
+    assert du_v <= (u ^ t).bit_count() + (t ^ v).bit_count()
 
 
 @settings(max_examples=200, deadline=None)
@@ -59,7 +58,7 @@ def test_equal_weight_words_have_even_distance(n, data):
     support_v = data.draw(st.sets(st.integers(0, n - 1), min_size=w, max_size=w))
     u = sum(1 << j for j in support_u)
     v = sum(1 << j for j in support_v)
-    d = hamming(u, v)
+    d = (u ^ v).bit_count()
     assert d % 2 == 0
     if u != v:
         assert d >= 2
@@ -80,7 +79,7 @@ def test_profile_basics():
     assert WeightProfile.parse("4:2,4:2") == p
     het = WeightProfile(((3, 1), (4, 2)))
     assert not het.is_homogeneous()
-    assert block_weights(word_from_str("0101100"), het) == (1, 2)
+    assert word_blocks(word_from_str("0101100"), het) == (0b010, 0b1100)
     with pytest.raises(CodeError):
         WeightProfile(((3, 4),))
     with pytest.raises(CodeError):
@@ -130,17 +129,6 @@ def test_indicator_words_layout():
     assert indicator_words(code) == [0b100_010, 0b001_100]
 
 
-def test_indicator_bit_cap(monkeypatch):
-    # 3 words of 2 ternary symbols are 18 indicator bits.
-    code = QaryCode.from_words([(0, 0), (1, 1), (2, 2)], q=3, claimed_distance=2)
-    monkeypatch.setattr(codes_mod, "MAX_INDICATOR_BITS", 18)
-    assert verify_code(code).passed
-    monkeypatch.setattr(codes_mod, "MAX_INDICATOR_BITS", 17)
-    monkeypatch.setattr(codes_mod, "word_limbs", None)  # nothing past the check runs
-    with pytest.raises(CodeError, match="18 indicator bits exceed the cap of 17"):
-        verify_code(code)
-
-
 def _pairwise_oracle(words, claimed):
     """(min distance, first closest pair, passed) from hamming_distance on every pair."""
     best, closest = math.inf, None
@@ -161,39 +149,34 @@ def test_verify_matches_pairwise_oracle(seed):
     qlength = rng.randint(1, 5)
     symbols = {tuple(rng.randrange(q) for _ in range(qlength)) for _ in range(rng.randint(1, 40))}
     qary = QaryCode.from_words(symbols, q, qlength, rng.randint(0, qlength))
-    for code, as_sequences in ((binary, binary.word_strings()), (qary, qary.words)):
+    for code, as_sequences in ((binary, binary.word_strings()), (qary, qary.words.tolist())):
         report = verify_code(code)
         oracle = _pairwise_oracle(as_sequences, code.claimed_distance)
         assert (report.min_distance, report.closest_pair, report.passed) == oracle
 
 
 def reference_verify(code):
-    """verify_code as a pairwise loop over packed ints: the oracle for the numpy kernel."""
+    """verify_code as a pairwise loop over Python words: the oracle for the numpy kernel."""
     violations = []
     if isinstance(code, BinaryCode) and code.profile is not None:
         for wi, wd in enumerate(code.words):
-            for bi, (got, (_, want)) in enumerate(
-                zip(block_weights(wd, code.profile), code.profile.parts)
+            for bi, (block, (_, want)) in enumerate(
+                zip(word_blocks(wd, code.profile), code.profile.parts)
             ):
-                if got != want:
-                    violations.append((wi, bi, got, want))
+                if block.bit_count() != want:
+                    violations.append((wi, bi, block.bit_count(), want))
 
     if isinstance(code, BinaryCode):
-        words, scale = code.words, 1
+        words, distance = code.words, lambda u, v: (u ^ v).bit_count()
     else:
-        q = code.q
-        words = [sum(1 << (q * i + s) for i, s in enumerate(wd)) for wd in code.words]
-        scale = 2
+        words, distance = code.words.tolist(), hamming_distance
     min_dist = math.inf
     closest = None
     for i in range(len(words)):
-        wi = words[i]
         for j in range(i + 1, len(words)):
-            d = (wi ^ words[j]).bit_count()
+            d = distance(words[i], words[j])
             if d < min_dist:
                 min_dist, closest = d, (i, j)
-    if closest is not None:
-        min_dist //= scale
 
     passed = min_dist >= code.claimed_distance and not violations
     return VerificationReport(min_dist, code.claimed_distance, tuple(violations), closest, passed)
@@ -245,18 +228,20 @@ def test_verify_spans_many_default_tiles():
     assert_matches_reference(code)
 
 
-@pytest.mark.parametrize("count, length", [(2, 33), (40, 33), (1331, 33), (600, 1024)])
-def test_verify_temporaries_stay_near_tile_bytes(count, length):
-    rng = random.Random(count)
-    code = _random_binary(rng, length, count)
+def _verify_peak_bytes(code):
     verify_code(code)  # imports numpy first, outside the measurement
     tracemalloc.start()
     try:
         verify_code(code)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * codes_mod.TILE_BYTES
+
+
+@pytest.mark.parametrize("count, length", [(2, 33), (40, 33), (1331, 33), (600, 1024)])
+def test_verify_temporaries_stay_near_tile_bytes(count, length):
+    rng = random.Random(count)
+    assert _verify_peak_bytes(_random_binary(rng, length, count)) < 4 * codes_mod.TILE_BYTES
 
 
 def test_verify_ties_keep_first_pair(monkeypatch):
@@ -290,6 +275,46 @@ def test_verify_qary_matches_reference_loop(q, length, tile_bytes, monkeypatch):
     for count in (2, 30, 120):
         words = {tuple(rng.randrange(q) for _ in range(length)) for _ in range(count)}
         assert_matches_reference(QaryCode.from_words(words, q, length, rng.randint(0, length)))
+
+
+def test_verify_qary_compares_symbols(monkeypatch):
+    # No indicator layout is built: words are compared symbol by symbol.
+    def no_indicators(code):
+        raise AssertionError("built indicator words")
+
+    monkeypatch.setattr(codes_mod, "indicator_words", no_indicators)
+    rng = random.Random(5)
+    for q, length in ((3, 4), (181, 300), (70000, 5)):
+        words = {tuple(rng.randrange(q) for _ in range(length)) for _ in range(60)}
+        assert_matches_reference(QaryCode.from_words(words, q, length, rng.randint(0, length)))
+
+
+def test_verify_qary_temporaries_stay_near_tile_bytes():
+    rng = random.Random(11)
+    words = {tuple(rng.randrange(11) for _ in range(33)) for _ in range(1331)}
+    assert _verify_peak_bytes(QaryCode.from_words(words, 11, 33, 2)) < 4 * codes_mod.TILE_BYTES
+
+
+def test_qary_code_checks_its_array():
+    import numpy as np
+
+    code = QaryCode.from_words([(2, 0), (0, 1), (1, 2)], q=3)
+    assert code.words.dtype == np.uint8 and code.words.tolist() == [[0, 1], [1, 2], [2, 0]]
+    assert QaryCode.from_words([(0,), (256,)], q=257).words.dtype == np.uint16
+    for words, match in (
+        (np.array([[1, 2], [0, 1]], dtype=np.uint8), "sorted"),
+        (np.array([[0, 1], [0, 1]], dtype=np.uint8), r"duplicate word \[0, 1\]"),
+        (np.array([[0, 1], [0, 3]], dtype=np.uint8), "out of range"),
+        (np.array([[0, 1]], dtype=np.uint16), "uint8"),
+        (np.array([0, 1], dtype=np.uint8), "2-D"),
+    ):
+        with pytest.raises(CodeError, match=match):
+            QaryCode(3, 2, words)
+    for words in ([(0, -1)], [(0, 1), (2,)], [(2**64,)], [()]):
+        with pytest.raises(CodeError):
+            QaryCode.from_words(words, q=3)
+    with pytest.raises(CodeError, match=r"not in 2..2\^64"):
+        QaryCode.from_words([(0,)], q=2**64 + 1)
 
 
 def test_systematic_set_examples():
@@ -328,10 +353,13 @@ def test_code_round_trip_binary():
 
 
 def test_code_round_trip_qary():
-    code = QaryCode.from_words([(0, 1, 2), (2, 1, 0)], q=3, claimed_distance=2)
+    code = QaryCode.from_words([(2, 1, 0), (0, 1, 2)], q=3, claimed_distance=2)
     buf = io.StringIO()
     code_write(buf, code)
-    assert code_read(io.StringIO(buf.getvalue())) == code
+    assert buf.getvalue() == "# code q=3 len=3 d=2 profile=none\n0,1,2\n2,1,0\n"
+    back = code_read(io.StringIO(buf.getvalue()))
+    assert (back.q, back.length, back.claimed_distance) == (3, 3, 2)
+    assert back.words.dtype == code.words.dtype and back.words.tolist() == [[0, 1, 2], [2, 1, 0]]
 
 
 @pytest.mark.parametrize(
@@ -342,6 +370,12 @@ def test_code_round_trip_qary():
         "# code q=2 len=4 d=2 profile=none\n0011\n01011\n",  # mixed lengths
         "# code q=2 len=four d=2 profile=none\n0011\n",  # malformed header
         "# code q=3 len=2 d=1 profile=none\n0,3\n",  # symbol out of range
+        "# code q=3 len=2 d=1 profile=none\n0,-1\n",  # negative symbol
+        "# code q=3 len=2 d=1 profile=none\n0,1\n0,1,2\n",  # ragged rows
+        "# code q=3 len=2 d=1 profile=none\n0,1\n0,1\n",  # duplicate
+        f"# code q={2**65} len=1 d=1 profile=none\n{2**64}\n",  # no fixed-width symbol
+        "# code q=3 len=-1 d=1 profile=none\n",  # negative length
+        "# code q=3 len=0 d=1 profile=none\n",  # q-ary words need a symbol
     ],
 )
 def test_code_read_errors(text):
