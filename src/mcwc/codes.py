@@ -435,8 +435,9 @@ def code_write(f: TextIO, code: Code, extra_comments: Sequence[str] = ()) -> Non
             f.write(word_to_str(wd, code.length) + "\n")
     else:
         f.write(f"# code q={code.q} len={code.length} d={code.claimed_distance} profile=none\n")
+        sep = "" if code.q == 2 else ","
         for row in code.words:
-            f.write(",".join(map(str, row.tolist())) + "\n")
+            f.write(sep.join(map(str, row.tolist())) + "\n")
 
 
 def code_read(f: TextIO) -> Code:

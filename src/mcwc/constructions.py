@@ -268,13 +268,11 @@ def reed_solomon(field: Field, length: int, d: int) -> QaryCode:
     # Row j holds the coefficient of x^j of every message, messages in
     # product(range(q), repeat=k) order.
     coeffs = np.indices((q,) * k, dtype=np.min_scalar_type(q - 1)).reshape(k, -1)
-    if k > 1:  # only Horner steps past the leading coefficient use the tables
-        add, mul = field.tables()
     columns = []
     for x in range(min(length, q)):
         acc = coeffs[k - 1]  # Horner, from the leading coefficient
         for j in range(k - 2, -1, -1):
-            acc = add[mul[acc, x], coeffs[j]]
+            acc = field.add(field.mul(acc, x), coeffs[j])
         columns.append(acc)
     if extended:
         columns.append(coeffs[k - 1])

@@ -50,6 +50,20 @@ def canonical_classes(classes: Sequence[Sequence[Sequence[int]]]) -> tuple[Paral
     return tuple(sorted(normalized))
 
 
+# Most t-subset coverage entries (blocks x C(k, t)) a design may ask to count.
+MAX_COVERAGE_ENTRIES = 1 << 19
+
+
+def check_coverage(blocks: int, k: int, t: int) -> None:
+    """Refuse a design whose blocks cover more than MAX_COVERAGE_ENTRIES t-subsets."""
+    entries = blocks * comb(k, t)
+    if entries > MAX_COVERAGE_ENTRIES:
+        raise DesignError(
+            f"{blocks} blocks of {k} points cover {entries} {t}-subsets, over the cap of "
+            f"{MAX_COVERAGE_ENTRIES}"
+        )
+
+
 def verify_design(design: ResolvableDesign, *, require_complete: bool = True) -> None:
     """Exhaustively check the design invariants; raises DesignError on failure.
 
@@ -62,6 +76,8 @@ def verify_design(design: ResolvableDesign, *, require_complete: bool = True) ->
     Distinct blocks share at most t-1 points, which is what drives the code
     distance, and needs no pairwise pass: two blocks sharing t points would
     cover one t-subset twice, which the coverage check refuses in both modes.
+    Only covered t-subsets are counted, after check_coverage; the error names
+    the lexicographically first t-subset that fails.
     """
     v, k, t = design.v, design.k, design.t
     if t < 1 or k < t or v < k or v % k:
@@ -78,15 +94,20 @@ def verify_design(design: ResolvableDesign, *, require_complete: bool = True) ->
         if covered != points:
             raise DesignError(f"class {ci} does not partition the point set")
 
+    check_coverage(len(design.classes) * (v // k), k, t)
     coverage: dict[tuple[int, ...], int] = {}
     for cls in design.classes:
         for block in cls:
             for sub in combinations(sorted(block), t):
                 coverage[sub] = coverage.get(sub, 0) + 1
-    for sub in combinations(range(v), t):
-        count = coverage.get(sub, 0)
-        if count > 1 or (require_complete and count != 1):
-            raise DesignError(f"{t}-subset {sub} covered {count} times")
+    bad = [sub for sub, count in coverage.items() if count > 1]
+    if require_complete and len(coverage) < comb(v, t):
+        # Every t-subset before the first uncovered one is covered, so this
+        # scan takes at most len(coverage) + 1 steps.
+        bad.append(next(sub for sub in combinations(range(v), t) if sub not in coverage))
+    if bad:
+        sub = min(bad)
+        raise DesignError(f"{t}-subset {sub} covered {coverage.get(sub, 0)} times")
 
 
 def affine_plane(q: int) -> ResolvableDesign:
@@ -95,16 +116,15 @@ def affine_plane(q: int) -> ResolvableDesign:
     Points are pairs (x, y) over GF(q), numbered x*q + y; there is one parallel
     class of lines per slope plus the vertical class, q+1 classes in total.
     """
-    field = field_for_order(q)
-    elements = range(q)
+    import numpy as np  # imported on first use, as in mcwc.clique
 
-    classes = []
-    for a in elements:  # lines y = a*x + b, one class per slope a
-        cls = []
-        for b in elements:
-            cls.append([x * q + field.add(field.mul(a, x), b) for x in elements])
-        classes.append(cls)
-    classes.append([[c * q + y for y in elements] for c in elements])  # vertical lines
+    field = field_for_order(q)
+    check_coverage(q * (q + 1), q, 2)
+    points = np.arange(q)
+    a, b, x = np.ix_(points, points, points)  # slope, intercept, abscissa
+    lines = x * q + field.add(field.mul(a, x), b)  # class a, line y = a*x + b
+    vertical = points[:, None] * q + points  # one class: line x = c
+    classes = lines.tolist() + [vertical.tolist()]
 
     design = ResolvableDesign(q * q, q, 2, canonical_classes(classes))
     verify_design(design)
@@ -115,6 +135,7 @@ def one_factorization(v: int) -> ResolvableDesign:
     """Circle-method one-factorization of K_v: a resolvable 2-(v, 2, 1) design."""
     if v < 2 or v % 2:
         raise DesignError(f"need an even number of points, got {v}")
+    check_coverage(v * (v - 1) // 2, 2, 2)
     classes = []
     for r in range(v - 1):
         cls = [[v - 1, r]]

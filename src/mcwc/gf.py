@@ -8,6 +8,7 @@ toolkit agrees on element order and on Reed-Solomon evaluation points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -19,14 +20,7 @@ class FieldError(ValueError):
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
+    return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
@@ -80,77 +74,70 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
 
 def _digits(idx: int, p: int, k: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(k):
-        out.append(idx % p)
-        idx //= p
-    return tuple(out)
+    return tuple(idx // p**i % p for i in range(k))
 
 
 @dataclass(frozen=True)
 class Field:
     """GF(p^k) with a fixed monic irreducible modulus of degree k.
 
-    Arithmetic on the ints 0..q-1 is table lookup over the smallest primitive
-    element g (Zech logarithms): exp[i] = g^i for i < 2(q-1), so a sum of two
-    logs needs no reduction; log[g^i] = i and log[0] = -1; zech[i] = log[1 + g^i].
+    add and mul take elements as Python ints or as numpy int arrays, alike
+    and mixed, elementwise; arrays come back in the narrowest unsigned dtype
+    that holds q-1.  Two read-only arrays over the smallest primitive element g
+    serve both: exp[i] = g^i for i < 2(q-1), followed by 2q-1 zeros, and
+    log[g^i] = i with log[0] = 2(q-1), so a*b = exp[log[a] + log[b]] needs no
+    branch for zero.  a+b sums base-p digits mod p, which is a ^ b when p = 2.
     """
 
     p: int
     k: int
     modulus: tuple[int, ...]  # length k+1, little-endian, monic
-    exp: tuple[int, ...] = field(compare=False, repr=False)
-    log: tuple[int, ...] = field(compare=False, repr=False)
-    zech: tuple[int, ...] = field(compare=False, repr=False)
+    exp: object = field(compare=False, repr=False)  # numpy array
+    log: object = field(compare=False, repr=False)  # numpy array, dtype holds 4(q-1)
 
     @property
     def q(self) -> int:
         return self.p**self.k
 
-    def _check(self, a: int, b: int) -> None:
+    def _check(self, a, b) -> bool:
+        """Raise FieldError unless a and b are elements; True if either is an array."""
         q = len(self.log)
-        if not (type(a) is type(b) is int and 0 <= a < q and 0 <= b < q):
-            bad = b if type(a) is int and 0 <= a < q else a
-            raise FieldError(f"{bad!r} is not an element of GF({self.p}^{self.k})")
+        for x in (a, b):
+            if type(x) is int:
+                ok = 0 <= x < q
+            else:
+                import numpy as np  # imported on first use, as in mcwc.clique
 
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        if a == 0 or b == 0:
-            return a + b
-        # a + b = g^la (1 + g^(lb-la)); a negative index wraps modulo q-1.
-        la = self.log[a]
-        z = self.zech[self.log[b] - la]
-        return 0 if z < 0 else self.exp[la + z]
+                ok = isinstance(x, np.ndarray) and x.dtype.kind in "ui" and (
+                    not x.size or (x.max() < q and (x.dtype.kind == "u" or x.min() >= 0))
+                )
+            if not ok:
+                raise FieldError(f"{x!r} is not an element of GF({self.p}^{self.k})")
+        return not type(a) is type(b) is int
 
-    def mul(self, a: int, b: int) -> int:
-        self._check(a, b)
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
+    def add(self, a, b):
+        array = self._check(a, b)
+        p = self.p
+        # An array is cast to a dtype that holds every element, and for odd p
+        # a digit sum of 2(p-1), which log's dtype does.
+        dtype = self.exp.dtype if p == 2 else self.log.dtype
+        a, b = (x if type(x) is int else x.astype(dtype, copy=False) for x in (a, b))
+        if p == 2:
+            out = a ^ b
+        else:
+            out = sum((a // p**i % p + b // p**i % p) % p * p**i for i in range(self.k))
+        return out.astype(self.exp.dtype, copy=False) if array else out
 
-    def tables(self):
-        """(add, mul): q-by-q numpy arrays with add[a, b] = a + b and mul[a, b] = a * b.
-
-        Built from the same log, exp and Zech tables as add and mul, in the
-        narrowest unsigned dtype that holds an element.
-        """
-        import numpy as np  # imported on first use, as in mcwc.clique
-
-        q = len(self.log)
-        exp, log, zech = (np.array(t) for t in (self.exp, self.log, self.zech))
-        la, lb = log[1:, None], log[None, 1:]
-        z = zech[lb - la]  # a negative index wraps modulo q-1, as in add
-        dtype = np.min_scalar_type(q - 1)
-        add = np.empty((q, q), dtype=dtype)
-        add[0, :] = add[:, 0] = np.arange(q)
-        add[1:, 1:] = np.where(z < 0, 0, exp[la + z])
-        mul = np.zeros((q, q), dtype=dtype)
-        mul[1:, 1:] = exp[la + lb]
-        return add, mul
+    def mul(self, a, b):
+        array = self._check(a, b)
+        out = self.exp[self.log[a] + self.log[b]]
+        return out if array else int(out)
 
 
-def _log_tables(p: int, k: int, modulus: tuple[int, ...]):
-    """(exp, log, zech) over the smallest primitive element of GF(p^k)."""
+def _exp_log(p: int, k: int, modulus: tuple[int, ...]):
+    """(exp, log) over the smallest primitive element of GF(p^k), as Field keeps them."""
+    import numpy as np
+
     q = p**k
 
     def mul(a: int, b: int) -> int:
@@ -165,13 +152,11 @@ def _log_tables(p: int, k: int, modulus: tuple[int, ...]):
             x = mul(x, g)
         if len(powers) == q - 1:
             break
-    log = [-1] * q
-    for i, x in enumerate(powers):
-        log[x] = i
-    # Adding one changes only the constant coefficient, the lowest base-p digit.
-    one_plus = [x - x % p + (x + 1) % p for x in powers]
-    zech = tuple(log[y] for y in one_plus)
-    return tuple(powers + powers), tuple(log), zech
+    exp = np.array(powers * 2 + [0] * (2 * q - 1), dtype=np.min_scalar_type(q - 1))
+    log = np.full(q, 2 * (q - 1), dtype=np.min_scalar_type(4 * (q - 1)))
+    log[powers] = np.arange(q - 1)
+    exp.flags.writeable = log.flags.writeable = False
+    return exp, log
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +175,7 @@ def field_make(p: int, k: int) -> Field:
     for idx in range(p**k):
         poly = _digits(idx, p, k) + (1,)
         if _is_irreducible(poly, p):
-            return Field(p, k, poly, *_log_tables(p, k, poly))
+            return Field(p, k, poly, *_exp_log(p, k, poly))
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 

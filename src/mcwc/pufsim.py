@@ -132,24 +132,14 @@ def word_matrix(dev: DelayModel, code: BinaryCode, word: int) -> np.ndarray:
     )
 
 
-def measure_delay(
-    dev: DelayModel,
-    bits: np.ndarray,
-    noisy: bool = False,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Total delay of a control word: sum of mu[i, b] + eps[i, j, b] over the grid."""
+def measure_delay(dev: DelayModel, bits: np.ndarray) -> float:
+    """Noise-free delay of a control word: sum of mu[i, b] + eps[i, j, b] over the grid."""
     bits = np.asarray(bits)
     if bits.shape != (dev.m, dev.n):
         raise ModelError(f"control word shape {bits.shape} != ({dev.m}, {dev.n})")
     rows = np.arange(dev.m)[:, None]
     cols = np.arange(dev.n)[None, :]
-    total = float(np.sum(dev.mu[rows, bits] + dev.eps[rows, cols, bits]))
-    if noisy:
-        if rng is None:
-            raise ModelError("noisy measurement needs an explicit generator")
-        total += rng.normal(0.0, dev.noise_sigma)
-    return total
+    return float(np.sum(dev.mu[rows, bits] + dev.eps[rows, cols, bits]))
 
 
 def mu_delay(dev: DelayModel, row_weights: Sequence[int]) -> float:
@@ -183,9 +173,7 @@ def generate_crps(dev: DelayModel, code: BinaryCode) -> list[ChallengeResponse]:
     Exact zero differences are flagged unusable instead of being signed; a
     real enrollment would discard such pairs.
     """
-    delays = [
-        measure_delay(dev, word_matrix(dev, code, wd), noisy=False) for wd in code.words
-    ]
+    delays = [measure_delay(dev, word_matrix(dev, code, wd)) for wd in code.words]
     out = []
     for i in range(len(delays)):
         for j in range(len(delays)):
@@ -263,7 +251,7 @@ def _sweep(dev, code, noise_sigma, trials, seed, workers) -> SweepResult:
     words = code.words
     pair_count = len(words) * (len(words) - 1) // 2
     matrices = [word_matrix(dev, code, wd) for wd in words]
-    delays = [measure_delay(dev, mat, noisy=False) for mat in matrices]
+    delays = [measure_delay(dev, mat) for mat in matrices]
 
     pair_list = list(combinations(range(len(words)), 2))
     refs = [delays[i] - delays[j] for i, j in pair_list]

@@ -147,6 +147,36 @@ def test_design_verify_rejects_corruption(tmp_path, capsys):
     assert status == 2 and "DesignError" in err
 
 
+def test_design_verify_counts_only_covered_pairs(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("# design v=20000 k=2 t=2\n")
+    status, _, err = run(["design", "verify", str(path)], capsys)
+    assert status == 2 and "2-subset (0, 1) covered 0 times" in err
+    status, stdout, _ = run(["design", "verify", "--partial", str(path)], capsys)
+    assert status == 0 and "classes=0" in stdout
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_rs_over_gf2_reads_back(length, tmp_path, capsys):
+    path = tmp_path / "rs2.txt"
+    rs = str(path)
+    status, _, _ = run(["construct", "rs", "--q", "2", "--len", str(length), "--d", "1",
+                        "--out", rs], capsys)
+    assert status == 0
+    assert path.read_text().splitlines()[-1] == "1" * length  # written as binary words
+    status, stdout, _ = run(["verify", rs], capsys)
+    assert status == 0 and json.loads(stdout)["size"] == 2**length
+    for argv in (["concat", "--outer", rs, "--inner", "builtin:cwc-2-2-1"],
+                 ["qary-expand", "--code", rs, "--w", "1"]):
+        status, stdout, _ = run(["construct", *argv], capsys)
+        assert status == 0 and f"size={2**length} length={2 * length}" in stdout
+    # A binary file with a profile is not a q-ary code.
+    profiled = tmp_path / "profiled.txt"
+    profiled.write_text("# code q=2 len=2 d=2 profile=2:1\n01\n10\n")
+    status, _, err = run(["construct", "qary-expand", "--code", str(profiled), "--w", "1"], capsys)
+    assert status == 2 and "is not a q-ary code file" in err
+
+
 def test_construct_design_from_file(tmp_path, capsys):
     design_path = tmp_path / "design.txt"
     run(["design", "make", "--family", "one-factor", "--v", "6",
@@ -318,6 +348,8 @@ INPUT_FILES = {
     "qary_negative.txt": "# code q=3 len=2 d=1 profile=none\n0,-1\n1,1\n",
     "qary_ragged.txt": "# code q=3 len=2 d=1 profile=none\n0,1\n1,1,2\n",
     "qary_duplicate.txt": "# code q=3 len=2 d=1 profile=none\n0,1\n0,1\n",
+    # one block of 60 points: C(60, 8) 8-subsets to count
+    "design_t8.txt": "# design v=60 k=60 t=8\n" + ",".join(map(str, range(60))) + "\n",
 }
 ZERO_EPS = str([[[0.0, 0.0]] * 4] * 2)
 PUF_SIM = ["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "10"]
@@ -406,6 +438,14 @@ PUF_SIM = ["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "10"]
         argv + [f"{{tmp}}/qary_{bad}.txt"]
         for bad in ("huge", "negative", "ragged", "duplicate")
         for argv in (["verify"], ["construct", "qary-expand", "--w", "1", "--code"])
+    ]
+    + [
+        # argv62 on: designs over the coverage cap, refused before any block is built
+        ["design", "make", "--family", "affine", "--q", "37"],
+        ["construct", "design", "--family", "affine", "--q", "37"],
+        ["design", "make", "--family", "one-factor", "--v", "1026"],
+        ["design", "verify", "{tmp}/design_t8.txt"],
+        ["construct", "design", "--file", "{tmp}/design_t8.txt"],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):

@@ -362,6 +362,14 @@ def test_code_round_trip_qary():
     assert back.words.dtype == code.words.dtype and back.words.tolist() == [[0, 1, 2], [2, 1, 0]]
 
 
+def test_qary_code_over_gf2_is_written_as_binary():
+    code = QaryCode.from_words([(1, 1, 0), (0, 1, 1)], q=2, claimed_distance=2)
+    buf = io.StringIO()
+    code_write(buf, code)
+    assert buf.getvalue() == "# code q=2 len=3 d=2 profile=none\n011\n110\n"
+    assert code_read(io.StringIO(buf.getvalue())) == BinaryCode.from_words(["011", "110"], 3, 2)
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -6,8 +6,10 @@ from math import comb
 
 import pytest
 
+import mcwc.designs as designs_mod
 from mcwc.codes import WeightProfile, verify_code
 from mcwc.designs import (
+    MAX_COVERAGE_ENTRIES,
     DesignError,
     ResolvableDesign,
     affine_plane,
@@ -160,3 +162,89 @@ def test_external_design_with_fewer_classes():
     result = design_to_mcwc(partial)
     assert result.size == 4
     assert result.report.min_distance >= result.guaranteed_distance == 6
+
+
+def reference_first_failure(design, require_complete):
+    """The message for the first failing t-subset, counting every t-subset of the points."""
+    cover = {}
+    for cls in design.classes:
+        for block in cls:
+            for sub in combinations(sorted(block), design.t):
+                cover[sub] = cover.get(sub, 0) + 1
+    for sub in combinations(range(design.v), design.t):
+        count = cover.get(sub, 0)
+        if count > 1 or (require_complete and count != 1):
+            return f"{design.t}-subset {sub} covered {count} times"
+    return None
+
+
+def sqs8_classes():
+    """The resolvable 3-(8, 4, 1) design: each class is a plane of AG(3, 2) through 0 and its coset."""
+    classes = []
+    for u in range(1, 8):
+        plane = [x for x in range(8) if bin(u & x).count("1") % 2 == 0]
+        classes.append((tuple(plane), tuple(x for x in range(8) if x not in plane)))
+    return tuple(classes)
+
+
+@pytest.mark.parametrize("require_complete", [True, False])
+@pytest.mark.parametrize(
+    "v, k, t, classes",
+    [(8, 2, 2, one_factorization(8).classes), (9, 3, 2, affine_plane(3).classes), (8, 4, 3, sqs8_classes())],
+)
+def test_verify_design_names_first_failing_subset(v, k, t, classes, require_complete):
+    # Dropped, repeated and swapped classes, checked against counting every t-subset.
+    cases = [
+        classes,
+        classes[:-1],
+        classes[1:],
+        classes + classes[2:3],
+        classes[1:] + classes[2:3],
+        classes[:2] + classes[-1:] * 2,
+        (),
+    ]
+    for case in cases:
+        design = ResolvableDesign(v, k, t, case)
+        expected = reference_first_failure(design, require_complete)
+        if expected is None:
+            verify_design(design, require_complete=require_complete)
+        else:
+            with pytest.raises(DesignError) as info:
+                verify_design(design, require_complete=require_complete)
+            assert str(info.value) == expected
+
+
+def test_verify_design_counts_only_covered_subsets():
+    # C(20000, 2) pairs exist, but none is covered: the first is named at once.
+    empty = ResolvableDesign(20000, 2, 2, ())
+    with pytest.raises(DesignError, match=r"2-subset \(0, 1\) covered 0 times"):
+        verify_design(empty)
+    verify_design(empty, require_complete=False)
+
+
+def test_coverage_cap(monkeypatch):
+    # C(60, 8) = 2,558,620,845 8-subsets in one block, refused before any is counted.
+    block = ResolvableDesign(60, 60, 8, ((tuple(range(60)),),))
+    with pytest.raises(DesignError, match="over the cap"):
+        verify_design(block, require_complete=False)
+    # The largest families under the cap: affine planes up to q = 32, and
+    # one-factorizations up to 1024 points; both cover C(1024, 2) pairs.
+    assert comb(32**2, 2) == comb(1024, 2) <= MAX_COVERAGE_ENTRIES < comb(37**2, 2)
+    assert comb(1026, 2) > MAX_COVERAGE_ENTRIES
+    def no_blocks(classes):
+        raise AssertionError("blocks built")
+
+    with monkeypatch.context() as patch:  # refused before any block is built
+        patch.setattr(designs_mod, "canonical_classes", no_blocks)
+        for build, order in ((affine_plane, 37), (one_factorization, 1026)):
+            with pytest.raises(DesignError, match="over the cap"):
+                build(order)
+    # affine_plane(3) covers C(9, 2) = 36 pairs and one_factorization(10) 45.
+    monkeypatch.setattr(designs_mod, "MAX_COVERAGE_ENTRIES", 36)
+    design = affine_plane(3)
+    with pytest.raises(DesignError, match="45 2-subsets, over the cap of 36"):
+        one_factorization(10)
+    monkeypatch.setattr(designs_mod, "MAX_COVERAGE_ENTRIES", 35)
+    for refused in (lambda: affine_plane(3), lambda: verify_design(design)):
+        with pytest.raises(DesignError, match="36 2-subsets, over the cap of 35"):
+            refused()

@@ -1,5 +1,6 @@
 """Field arithmetic tests, including exhaustive axiom checks for small orders."""
 
+import numpy as np
 import pytest
 
 from mcwc.gf import FieldError, field_for_order, field_make, is_prime, prime_power
@@ -112,53 +113,102 @@ SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
 
 
 def schoolbook(field):
-    """Oracle add/mul on coefficient tuples: digit-wise sums and polynomial
-    products reduced mod field.modulus, mapped back to ints."""
+    """Oracle add and mul tables, q-by-q nested lists: digit-wise sums and
+    polynomial products of coefficient tuples reduced mod field.modulus,
+    mapped back to ints."""
     p, k, modulus = field.p, field.k, field.modulus
-
-    def digits(a):
-        return [(a // p**i) % p for i in range(k)]
+    elements = range(field.q)
+    digits = [[(a // p**i) % p for i in range(k)] for a in elements]
 
     def to_int(coeffs):
         return sum(c * p**i for i, c in enumerate(coeffs))
 
     def add(a, b):
-        return to_int((x + y) % p for x, y in zip(digits(a), digits(b)))
+        return to_int((x + y) % p for x, y in zip(digits[a], digits[b]))
 
     def mul(a, b):
         prod = [0] * (2 * k - 1)
-        for i, x in enumerate(digits(a)):
-            for j, y in enumerate(digits(b)):
-                prod[i + j] = (prod[i + j] + x * y) % p
+        for i, x in enumerate(digits[a]):
+            if x:
+                for j, y in enumerate(digits[b]):
+                    prod[i + j] = (prod[i + j] + x * y) % p
         for top in range(2 * k - 2, k - 1, -1):  # cancel x^top with the monic modulus
             lead = prod[top]
-            for j, c in enumerate(modulus):
-                prod[top - k + j] = (prod[top - k + j] - lead * c) % p
+            if lead:
+                for j, c in enumerate(modulus):
+                    prod[top - k + j] = (prod[top - k + j] - lead * c) % p
         return to_int(prod[:k])
 
-    return add, mul
+    return (
+        [[add(a, b) for b in elements] for a in elements],
+        [[mul(a, b) for b in elements] for a in elements],
+    )
+
+
+def all_pairs(q, dtype=None):
+    """Column and row of the q elements in `dtype` (default: the narrowest one)."""
+    elements = np.arange(q, dtype=dtype or np.min_scalar_type(q - 1))
+    return elements[:, None], elements[None, :]
+
+
+def check_arrays_match_schoolbook(q):
+    f = field_for_order(q)
+    add, mul = schoolbook(f)
+    a, b = all_pairs(q)
+    sums, products = f.add(a, b), f.mul(a, b)
+    assert sums.dtype == products.dtype == a.dtype
+    assert sums.tolist() == add
+    assert products.tolist() == mul
 
 
 @pytest.mark.parametrize("q", SMALL_ORDERS)
 def test_tables_match_schoolbook(q):
-    f = field_for_order(q)
-    add, mul = schoolbook(f)
-    add_table, mul_table = f.tables()
-    for a in range(q):
-        for b in range(q):
-            assert f.add(a, b) == add(a, b) == add_table[a, b], (a, b)
-            assert f.mul(a, b) == mul(a, b) == mul_table[a, b], (a, b)
+    check_arrays_match_schoolbook(q)
 
 
-@pytest.mark.parametrize("q", [181, 256, 257])
+@pytest.mark.parametrize("q", [181, 243, 256, 257])
 def test_numpy_tables_match_add_and_mul(q):
-    # 181 is the largest order a capped Reed-Solomon build takes tables for;
-    # 256 and 257 sit on either side of the uint8 / uint16 boundary.
-    f = field_for_order(q)
-    add_table, mul_table = f.tables()
-    assert add_table.dtype == mul_table.dtype == ("uint8" if q <= 256 else "uint16")
-    assert add_table.tolist() == [[f.add(a, b) for b in range(q)] for a in range(q)]
-    assert mul_table.tolist() == [[f.mul(a, b) for b in range(q)] for a in range(q)]
+    # 181 is the largest order a capped Reed-Solomon build takes, and its
+    # digit sums (up to 360) overflow uint8; 243 = 3^5 sums five digits in
+    # uint8; 256 and 257 sit on either side of the uint8 / uint16 boundary.
+    check_arrays_match_schoolbook(q)
+
+
+def test_array_operands():
+    f = field_for_order(9)
+    a, b = all_pairs(9, np.int64)  # signed and wide: results still come back narrow
+    assert f.mul(a, b).dtype == f.add(a, b).dtype == np.uint8
+    assert f.mul(a, 3).tolist() == [[f.mul(x, 3)] for x in range(9)]
+    assert f.add(4, b).tolist() == [[f.add(4, y) for y in range(9)]]
+    # An int8 array with an int that int8 cannot hold.
+    for q in (256, 243):
+        f = field_for_order(q)
+        assert f.add(np.array([1], dtype=np.int8), q - 1).tolist() == [f.add(1, q - 1)]
+        assert f.mul(np.array([1], dtype=np.int8), q - 1).tolist() == [q - 1]
+    empty = np.zeros(0, dtype=np.uint8)
+    assert f.add(empty, 1).shape == f.mul(1, empty).shape == (0,)
+
+
+def test_bad_array_operands():
+    f = field_for_order(9)
+    for bad in (
+        np.ones(3),  # float
+        np.ones(3, dtype=bool),
+        np.array([1, 9], dtype=np.uint8),  # out of range
+        np.array([1, -1], dtype=np.int8),
+    ):
+        for op in (f.add, f.mul):
+            with pytest.raises(FieldError):
+                op(bad, 1)
+            with pytest.raises(FieldError):
+                op(np.zeros(3, dtype=np.uint8), bad)
+
+
+def test_tables_are_read_only():
+    f = field_for_order(8)
+    for table in (f.exp, f.log):
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 @pytest.mark.parametrize("q", SMALL_ORDERS)
@@ -166,6 +216,8 @@ def test_field_axioms_exhaustive(q):
     f = field_for_order(q)
     add = [[f.add(a, b) for b in range(q)] for a in range(q)]
     mul = [[f.mul(a, b) for b in range(q)] for a in range(q)]
+    a, b = all_pairs(q)
+    assert add == f.add(a, b).tolist() and mul == f.mul(a, b).tolist()  # ints as arrays
 
     for a in range(q):
         for b in range(q):

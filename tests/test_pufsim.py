@@ -294,7 +294,7 @@ def reference_sweep(dev, code, noise_sigma, trials, seed=0):
     """The single-threaded per-pair loop: all P streams spawned up front."""
     words = code.words
     matrices = [word_matrix(dev, code, wd) for wd in words]
-    delays = [measure_delay(dev, mat, noisy=False) for mat in matrices]
+    delays = [measure_delay(dev, mat) for mat in matrices]
 
     pair_list = list(combinations(range(len(words)), 2))
     streams = np.random.SeedSequence(seed).spawn(len(pair_list))
