@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, file outputs, manifests, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -600,3 +601,88 @@ def test_loaded_device_manifest_has_no_model_values(tmp_path, capsys):
     assert status == 0
     params = json.loads(out.splitlines()[0].removeprefix("# manifest: "))["params"]
     assert not {"s_eps", "mu0", "mu1", "m", "n"} & set(params)
+
+
+# sha256 of the non-comment lines of each output; the inputs come from
+# pinned_inputs.  A change that alters any word, row or value shows here.
+PINNED_OUTPUTS = {
+    "concat": (
+        ["construct", "concat", "--outer", "{rs4}", "--inner", "builtin:cwc-4-2-2"],
+        "2ed677c338fb0b32144765b1d6dff154af7f4333876a471fee994cbbc9540bea",
+    ),
+    "concat-binary-outer": (
+        ["construct", "concat", "--outer", "{rs2}", "--inner", "builtin:cwc-2-2-1"],
+        "7ee49a23f21701f95bdc656c60971e028804779a80866a6d031479ee3942ce3a",
+    ),
+    "pseudo-product": (
+        ["construct", "pseudo-product", "--cwc", "builtin:cwc-4-2-2", "--sys", "builtin:lin-6-2-4"],
+        "21b5c7a336ea1a2d2e24826ff8be4162a2386f246f104ba83569cf980fc4416a",
+    ),
+    "complement": (
+        ["construct", "complement", "--code", "builtin:rm1-3"],
+        "17d878c537355823c882a6c447c7648273b42dde70bca1f6ed7c0a6f4148ddab",
+    ),
+    "append": (
+        ["construct", "append", "--k", "2", "--cwc", "builtin:cwc-4-2-2"],
+        "c6b9b9413d51b2de48ad86eda0a6cc5a756e58652c8c7cb4f2a827122470d40d",
+    ),
+    "qary-expand": (
+        ["construct", "qary-expand", "--code", "{rs4}", "--w", "3"],
+        "74f1abe0918bab3011bb9419b6cd0eb67a3fe4d25acfd0d6c1423e055fac3daa",
+    ),
+    "rs-expand": (
+        ["construct", "rs", "--q", "5", "--len", "4", "--d", "3", "--expand", "--w", "2"],
+        "f6630b70ec55a09fc6664612ac520c8215fb3bcb7c1a638c4e6d87893eaa526f",
+    ),
+    "design-affine": (
+        ["construct", "design", "--family", "affine", "--q", "4"],
+        "e48728dd758ac32d701124cee1a03736fb64b314a778c20d2d5e49b291969505",
+    ),
+    "design-one-factor": (
+        ["construct", "design", "--family", "one-factor", "--v", "8"],
+        "51ae262497e810b86bf5537c425f82c2436c4e3d3e2286099ff7fcfc6e6f1934",
+    ),
+    "design-make-affine": (
+        ["design", "make", "--family", "affine", "--q", "4"],
+        "3e308274900e2cc4f489b7f7ec92ae5f35c9b12c84fa1d97b654cce1af42f391",
+    ),
+    "design-make-one-factor": (
+        ["design", "make", "--family", "one-factor", "--v", "8"],
+        "daa2ec4a4ae4b32575f7577f38ef09d2d8e215c1808fca31b09ecdef4f0c88da",
+    ),
+    "puf-sim": (
+        ["puf-sim", "--code", "{pp}", "--trials", "300", "--seed", "5"],
+        "1bc63eee63643c8023eeb1fd4caeb5f36f9117f2ffcb43c4a8b05de005b3ff01",
+    ),
+    "table": (
+        ["table", "--m", "1..2", "--n", "2..6", "--w", "1..3"],
+        "d1418c9c926a0987458438f11e50c46d553c62277aa3715e4a5d19d6daa6d570",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(tmp_path_factory):
+    """Code files the pinned outputs read: RS codes over GF(4) and GF(2), and a
+    4 x 4 pseudo-product code for puf-sim."""
+    tmp = tmp_path_factory.mktemp("pinned")
+    for name, argv in (
+        ("rs4", ["construct", "rs", "--q", "4", "--len", "3", "--d", "2"]),
+        ("rs2", ["construct", "rs", "--q", "2", "--len", "3", "--d", "1"]),
+        ("pp", ["construct", "pseudo-product", "--cwc", "builtin:cwc-4-2-2",
+                "--sys", "builtin:rm1-2"]),
+    ):
+        assert main(argv + ["--out", str(tmp / f"{name}.txt")]) == 0
+    return {name: str(tmp / f"{name}.txt") for name in ("rs4", "rs2", "pp")}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_output_bytes_pinned(name, pinned_inputs, tmp_path, capsys):
+    argv, digest = PINNED_OUTPUTS[name]
+    out = tmp_path / "out.txt"
+    status, _, _ = run([a.format(**pinned_inputs) for a in argv] + ["--out", str(out)], capsys)
+    assert status == 0
+    body = "".join(
+        line for line in out.read_text().splitlines(keepends=True) if not line.startswith("#")
+    )
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
