@@ -19,13 +19,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence, TextIO
 
 from . import designs as designs_mod
 from .clique import max_clique, pack_rows
-from .codes import BinaryCode, WeightProfile, distance_tiles, word_limbs
+from .codes import BinaryCode, WeightProfile, distance_tiles, pack_words, word_limbs
 from .constructions import (
     CONSTRUCTION_SIZE_CAP,
     ConstructionError,
@@ -188,7 +188,10 @@ def _johnson_t(parts: Profile, u: int, copies: int) -> tuple[int, Tag]:
         return count, ("membership count", None, None)
     if u > weights:
         return 1, ("distance exceeds diameter", None, None)
-    steps = _johnson_steps(parts, u, copies)
+    try:
+        steps = _johnson_steps(parts, u, copies)
+    except RecursionError as exc:  # the memo holds only rows whose recursion completed
+        raise SearchSpaceError(f"Johnson recursion for {parts} at d={2 * u} is too deep") from exc
     best = min(bounds[0] for _, bounds in steps)
     return best, next(tag for tag, bounds in steps if bounds[0] == best)
 
@@ -292,19 +295,14 @@ def eb_transfer(m: int, n: int, d: int, w: int, a_lower: int, source: str = "") 
 # ---------- exact search ----------
 
 def _profile_vertices(m: int, n: int, w: int) -> list[int]:
-    blocks = []
-    for support in combinations(range(n), w):
-        mask = 0
-        for j in support:
-            mask |= 1 << (n - 1 - j)
-        blocks.append(mask)
-    words = []
-    for rows in product(blocks, repeat=m):
-        word = 0
-        for row in rows:
-            word = (word << n) | row
-        words.append(word)
-    return words
+    """All C(n,w)^m profile words, rows in product(combinations(range(n), w)) order."""
+    import numpy as np
+
+    supports = np.array(list(combinations(range(n), w)), dtype=np.intp)
+    rows = np.zeros((len(supports), n), dtype=np.uint8)
+    np.put_along_axis(rows, supports, 1, axis=1)
+    choices = np.indices((len(rows),) * m).reshape(m, len(rows) ** m).T
+    return pack_words(rows[choices].reshape(len(choices), m * n))
 
 
 def exact_search(
@@ -650,14 +648,15 @@ def table_build(
     node_budget: int = TABLE_NODE_BUDGET,
     vertex_cap: int = TABLE_VERTEX_CAP,
 ) -> BoundTable:
-    """Evaluate every cell in the given ranges; d defaults to all even d <= m*n."""
+    """Evaluate every cell in the given ranges once, in ascending m, n, w and d; d
+    defaults to all even d <= m*n.  A cell may read the m = 1 cell it embeds in."""
     table = BoundTable(references)
-    for m in m_values:
-        for n in n_values:
-            for w in w_values:
+    for m in sorted(set(m_values)):
+        for n in sorted(set(n_values)):
+            for w in sorted(set(w_values)):
                 if w > n:
                     continue
-                ds = d_values if d_values is not None else range(2, m * n + 1, 2)
+                ds = sorted(set(d_values)) if d_values is not None else range(2, m * n + 1, 2)
                 for d in ds:
                     evaluate_cell(
                         table, m, n, d, w, node_budget=node_budget, vertex_cap=vertex_cap

@@ -38,6 +38,7 @@ from .codes import (
     WeightProfile,
     code_read_path,
     code_write,
+    unpack_words,
     verify_code,
 )
 from .constructions import (
@@ -144,8 +145,8 @@ def _resolve_qary(spec: str, inputs: list[str]) -> QaryCode:
     inputs.append(spec)
     code = code_read_path(spec)
     if isinstance(code, BinaryCode) and code.profile is None:
-        rows = [list(map(int, word)) for word in code.word_strings()]
-        code = QaryCode.from_words(rows, 2, code.length, code.claimed_distance)
+        bits = unpack_words(code.words, code.length)
+        code = QaryCode.from_words(bits, 2, code.length, code.claimed_distance)
     if not isinstance(code, QaryCode):
         raise CodeError(f"{spec} is not a q-ary code file")
     return code

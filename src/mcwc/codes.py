@@ -2,13 +2,18 @@
 
 Binary words are packed into Python ints: coordinate j (0-based, reading the
 word left to right) is bit (length-1-j), so ``format(word, f"0{n}b")`` prints
-the word in natural order.  A q-ary code holds its words as one 2-D numpy
-array, one row per word in the narrowest unsigned dtype that holds q-1, from
-the encoder through the file to the verifier.  One kernel verifies both
-alphabets in numpy over row tiles of a bounded byte size: binary words split
-into uint64 limbs and differ by XOR popcount, q-ary words are compared symbol
-by symbol, in memory of words x length x dtype bytes.  Only q-ary expansion
-builds the symbol-indicator layout (indicator_words).
+the word in natural order.  pack_words and unpack_words convert packed words
+to and from (count, length) 0/1 numpy rows, all words in one call.  Outside
+this module they are the only code that knows the bit order: constructions,
+designs, search vertices, PUF control matrices and q=2 symbol rows are built
+or read as 0/1 rows through them, blocks left to right.  A q-ary code holds
+its words as one 2-D numpy array, one row per word in the narrowest unsigned
+dtype that holds q-1, from the encoder through the file to the verifier.  One
+kernel verifies both alphabets in numpy over row tiles of a bounded byte
+size: binary words split into uint64 limbs and differ by XOR popcount, q-ary
+words are compared symbol by symbol, in memory of words x length x dtype
+bytes.  Only q-ary expansion builds the symbol-indicator layout
+(indicator_words).
 """
 
 from __future__ import annotations
@@ -79,18 +84,33 @@ class WeightProfile:
         return cls(parts)
 
 
-def word_blocks(word: int, profile: WeightProfile) -> tuple[int, ...]:
-    """Split a packed word into per-block ints, leftmost block first."""
-    out = []
-    remaining = profile.length
-    for n_i, _ in profile.parts:
-        remaining -= n_i
-        out.append((word >> remaining) & ((1 << n_i) - 1))
-    return tuple(out)
+def pack_words(bits) -> list[int]:
+    """Rows of a (count, length) 0/1 array as packed words: column j is bit length-1-j.
+
+    Nonzero entries count as 1.  unpack_words is the inverse.
+    """
+    import numpy as np
+
+    count, length = np.shape(bits)
+    if not length:
+        return [0] * count
+    width, pad = -(-length // 8), -length % 8
+    raw = np.packbits(bits, axis=1).tobytes()
+    return [int.from_bytes(raw[i:i + width], "big") >> pad for i in range(0, count * width, width)]
+
+
+def unpack_words(words: Sequence[int], length: int):
+    """The (count, length) uint8 0/1 array whose rows pack_words packs into `words`."""
+    import numpy as np
+
+    width = -(-length // 8)
+    raw = b"".join(word.to_bytes(width, "big") for word in words)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), width)
+    return np.unpackbits(rows, axis=1)[:, 8 * width - length:]
 
 
 def word_to_str(word: int, length: int) -> str:
-    return format(word, f"0{length}b")
+    return format(word, f"0{length}b") if length else ""
 
 
 def word_from_str(text: str) -> int:
@@ -314,18 +334,19 @@ def indicator_words(code: QaryCode) -> list[int]:
     """Each word as q-bit symbol indicators, position 0 leftmost: symbol s sets bit q-1-s.
 
     A code of more than MAX_INDICATOR_BITS bits in all is refused before any
-    word is built.
+    word is built.  The 0/1 rows are built about TILE_BYTES at a time.
     """
-    q = code.q
-    bits = len(code.words) * q * code.length
+    import numpy as np
+
+    q, length = code.q, code.length
+    bits = len(code.words) * q * length
     if bits > MAX_INDICATOR_BITS:
         raise CodeError(f"{bits} indicator bits exceed the cap of {MAX_INDICATOR_BITS}")
+    rows = max(1, TILE_BYTES // (q * length))
     words = []
-    for row in code.words:
-        word = 0
-        for s in row.tolist():
-            word = (word << q) | (1 << (q - 1 - s))
-        words.append(word)
+    for start in range(0, len(code.words), rows):
+        indicators = code.words[start:start + rows, :, None] == np.arange(q, dtype=code.words.dtype)
+        words += pack_words(indicators.reshape(-1, q * length))
     return words
 
 
@@ -378,44 +399,23 @@ def find_systematic_set(code: BinaryCode) -> tuple[int, ...] | None:
     Coordinates that are constant across the code are pruned up front: they can
     never appear in a systematic set.
     """
+    import numpy as np
+
     size = len(code.words)
     if size == 0 or size & (size - 1):
         raise CodeError(f"code size {size} is not a power of two")
     k = size.bit_length() - 1
     if k == 0:
         return ()
-    n = code.length
-    if k > n:
-        return None
-
-    ones = 0
-    zeros = 0
-    for wd in code.words:
-        ones |= wd
-        zeros |= ((1 << n) - 1) ^ wd
-    varying = [j for j in range(n) if (ones >> (n - 1 - j)) & 1 and (zeros >> (n - 1 - j)) & 1]
+    bits = unpack_words(code.words, code.length)
+    varying = np.flatnonzero(bits.min(axis=0) != bits.max(axis=0)).tolist()
     if len(varying) < k:
         return None
 
     for coords in combinations(varying, k):
-        shifts = [n - 1 - j for j in coords]
-        seen = set()
-        for wd in code.words:
-            pattern = 0
-            for s in shifts:
-                pattern = (pattern << 1) | ((wd >> s) & 1)
-            seen.add(pattern)
-        if len(seen) == size:
+        if len(set(pack_words(bits[:, coords]))) == size:
             return coords
     return None
-
-
-def restriction(word: int, length: int, coords: Sequence[int]) -> int:
-    """Pattern obtained by reading the given coordinates of a packed word."""
-    pattern = 0
-    for j in coords:
-        pattern = (pattern << 1) | ((word >> (length - 1 - j)) & 1)
-    return pattern
 
 
 # ---------- file format ----------

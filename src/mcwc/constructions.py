@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import product
 
 from .codes import (
     MAX_INDICATOR_BITS,
@@ -24,9 +23,9 @@ from .codes import (
     WeightProfile,
     find_systematic_set,
     indicator_words,
-    restriction,
+    pack_words,
+    unpack_words,
     verify_code,
-    word_blocks,
 )
 from .gf import DEFAULT_ORDER_CAP, Field, field_for_order, prime_power
 
@@ -100,12 +99,7 @@ def concatenate(outer: QaryCode, inner: BinaryCode) -> ConstructionResult:
         )
     m = outer.length
     guaranteed = inner.claimed_distance * outer.claimed_distance
-    words = []
-    for row in outer.words:
-        word = 0
-        for s in row.tolist():
-            word = (word << n) | inner.words[s]
-        words.append(word)
+    words = pack_words(unpack_words(inner.words, n)[outer.words].reshape(-1, m * n))
     profile = WeightProfile.homogeneous(m, n, w)
     prov = f"concatenation(outer=({m},{outer.claimed_distance})_{outer.q}, inner=cwc({n},{inner.claimed_distance},{w}))"
     ingredients = (("outer code", outer), ("inner code", inner))
@@ -115,13 +109,16 @@ def concatenate(outer: QaryCode, inner: BinaryCode) -> ConstructionResult:
 # ---------- pseudo-product ----------
 
 def _systematic_encoder(code: BinaryCode, what: str):
-    """Return (k, encode) where encode(pattern) is the codeword restricting to pattern."""
+    """(k, table): table[p] is the 0/1 row of the codeword reading p on its systematic set."""
+    import numpy as np
+
     coords = find_systematic_set(code)
     if coords is None:
         raise ConstructionError(f"{what} is not systematic")
-    k = len(coords)
-    table = {restriction(wd, code.length, coords): wd for wd in code.words}
-    return k, table.__getitem__
+    bits = unpack_words(code.words, code.length)
+    table = np.empty_like(bits)
+    table[pack_words(bits[:, coords])] = bits
+    return len(coords), table
 
 
 def pseudo_product(cwc: BinaryCode, sys: BinaryCode) -> ConstructionResult:
@@ -132,39 +129,37 @@ def pseudo_product(cwc: BinaryCode, sys: BinaryCode) -> ConstructionResult:
     weight w), giving an m-by-n matrix of constant row weight w.  Produces
     2^(k1*k2) codewords at distance >= d1*d2.
     """
+    import numpy as np
+
     n, w = _cwc_params(cwc, "constant-weight ingredient")
-    k1, encode_row = _systematic_encoder(cwc, "constant-weight ingredient")
-    k2, encode_col = _systematic_encoder(sys, "systematic ingredient")
+    k1, row_table = _systematic_encoder(cwc, "constant-weight ingredient")
+    k2, col_table = _systematic_encoder(sys, "systematic ingredient")
     m = sys.length
     guaranteed = cwc.claimed_distance * sys.claimed_distance
+    size = 1 << (k1 * k2)
 
-    words = []
-    for info_cols in product(range(1 << k2), repeat=k1):
-        # Encode each column, then read off the m rows as k1-bit patterns.
-        cols = [encode_col(c) for c in info_cols]
-        word = 0
-        for i in range(m):
-            row_pattern = 0
-            for col in cols:
-                row_pattern = (row_pattern << 1) | ((col >> (m - 1 - i)) & 1)
-            word = (word << n) | encode_row(row_pattern)
-        words.append(word)
-
+    # Every choice of k1 information columns, each encoded through `sys`; then
+    # each of the m rows, read as a k1-bit pattern, is encoded through `cwc`.
+    cols = col_table[np.indices((1 << k2,) * k1).reshape(k1, size).T]
+    patterns = pack_words(cols.transpose(0, 2, 1).reshape(size * m, k1))
+    words = pack_words(row_table[patterns].reshape(size, m * n))
     profile = WeightProfile.homogeneous(m, n, w)
     prov = f"pseudo-product(cwc({n},{cwc.claimed_distance},{w})^2^{k1} x sys({m},{sys.claimed_distance})^2^{k2})"
     ingredients = (("constant-weight ingredient", cwc), ("systematic ingredient", sys))
-    return _finish(words, m * n, guaranteed, profile, prov, 1 << (k1 * k2), ingredients)
+    return _finish(words, m * n, guaranteed, profile, prov, size, ingredients)
 
 
 # ---------- complement extension ----------
 
 def complement_extend(code: BinaryCode) -> ConstructionResult:
     """{(x, complement(x))}: doubles length and distance, weight becomes n."""
+    import numpy as np
+
     if find_systematic_set(code) is None:
         raise ConstructionError("ingredient is not systematic")
     n = code.length
-    mask = (1 << n) - 1
-    words = [(wd << n) | (mask ^ wd) for wd in code.words]
+    bits = unpack_words(code.words, n)
+    words = pack_words(np.hstack([bits, 1 - bits]))
     profile = WeightProfile.homogeneous(1, 2 * n, n)
     prov = f"complement-extend(({n},{code.claimed_distance}) systematic)"
     return _finish(
@@ -182,15 +177,15 @@ def append_extend(k: int, cwc: BinaryCode) -> ConstructionResult:
     is a systematic constant-weight code with information set the first k
     coordinates, length n+2k, weight w+k, distance d+2.
     """
+    import numpy as np
+
     if k < 0:
         raise ConstructionError("k must be >= 0")
     n, w = _cwc_params(cwc, "constant-weight ingredient")
     if len(cwc.words) < (1 << k):
         raise ConstructionError(f"need at least 2^{k} codewords, have {len(cwc.words)}")
-    mask = (1 << k) - 1
-    words = [
-        (x << (k + n)) | ((mask ^ x) << n) | cwc.words[x] for x in range(1 << k)
-    ]
+    x = unpack_words(range(1 << k), k)
+    words = pack_words(np.hstack([x, 1 - x, unpack_words(cwc.words[:1 << k], n)]))
     profile = WeightProfile.homogeneous(1, n + 2 * k, w + k)
     prov = f"append-extend(k={k}, cwc({n},{cwc.claimed_distance},{w}))"
     return _finish(
@@ -229,9 +224,12 @@ def qary_collapse(result_code: BinaryCode) -> QaryCode:
     q = parts[0][0]
     if any(n_i != q for n_i, _ in parts):
         raise ConstructionError("collapse requires equal block lengths")
-    # An indicator block for symbol s is 1 << (q-1-s).
-    words = [[q - b.bit_length() for b in word_blocks(wd, result_code.profile)] for wd in result_code.words]
-    return QaryCode.from_words(words, q, len(parts), result_code.claimed_distance // 2)
+    # The one in the indicator block of symbol s is its column s.
+    bits = unpack_words(result_code.words, result_code.length).reshape(-1, len(parts), q)
+    if (bits.sum(axis=2) != 1).any():
+        raise ConstructionError("a block does not hold exactly one 1")
+    symbols = bits.argmax(axis=2)
+    return QaryCode.from_words(symbols, q, len(parts), result_code.claimed_distance // 2)
 
 
 # ---------- Reed-Solomon ----------
@@ -331,21 +329,13 @@ def rs_mcwc(m: int, n: int, d: int, w: int) -> ConstructionResult:
 
 def _rm1(r: int) -> BinaryCode:
     """First-order Reed-Muller code [2^r, r+1, 2^(r-1)] as a word set."""
+    import numpy as np
+
     n = 1 << r
-    gens = [(1 << n) - 1]  # all-ones row
-    for bit in range(r):
-        row = 0
-        for j in range(n):
-            row = (row << 1) | ((j >> (r - 1 - bit)) & 1)
-        gens.append(row)
-    words = set()
-    for mask in range(1 << len(gens)):
-        wd = 0
-        for i, g in enumerate(gens):
-            if (mask >> i) & 1:
-                wd ^= g
-        words.add(wd)
-    return BinaryCode.from_words(sorted(words), n, n // 2)
+    # Generator rows: all ones, then bit i of each coordinate's index.
+    gens = np.vstack([np.ones(n, dtype=np.uint8), unpack_words(range(n), r).T])
+    messages = unpack_words(range(1 << (r + 1)), r + 1)
+    return BinaryCode.from_words(pack_words(messages @ gens % 2), n, n // 2)
 
 
 def _parity(n: int) -> BinaryCode:
@@ -368,7 +358,7 @@ _FIXED_CATALOG = {
 }
 
 _PARAM_CATALOG = (
-    (re.compile(r"rep-(\d+)$"), lambda n: BinaryCode.from_words([0, (1 << n) - 1], n, n)),
+    (re.compile(r"rep-(\d+)$"), lambda n: BinaryCode.from_words(["0" * n, "1" * n], n, n)),
     (re.compile(r"parity-(\d+)$"), _parity),
     (re.compile(r"full-(\d+)$"), lambda n: BinaryCode.from_words(range(1 << n), n, 1)),
     (re.compile(r"rm1-(\d+)$"), _rm1),

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence, TextIO
 
-from .codes import WeightProfile
+from .codes import WeightProfile, pack_words
 from .constructions import ConstructionResult, _finish
 from .gf import field_for_order
 
@@ -155,19 +155,17 @@ def design_to_mcwc(design: ResolvableDesign) -> ConstructionResult:
     points, which yields distance >= 2*(k-t+1)*(v/k).  Partial resolutions are
     accepted; the code size is then the supplied class count.
     """
+    import numpy as np
+
     verify_design(design, require_complete=False)
     v, k, t = design.v, design.k, design.t
     m = v // k
     guaranteed = 2 * (k - t + 1) * m
     words = []
-    for cls in design.classes:
-        word = 0
-        for block in cls:
-            row = 0
-            for pt in block:
-                row |= 1 << (v - 1 - pt)
-            word = (word << v) | row
-        words.append(word)
+    for cls in design.classes:  # one class at a time: a word's 0/1 rows are m*v bytes
+        bits = np.zeros((m, v), dtype=np.uint8)
+        np.put_along_axis(bits, np.array(cls, dtype=np.intp), 1, axis=1)
+        words += pack_words(bits.reshape(1, m * v))
     profile = WeightProfile.homogeneous(m, v, k)
     prov = f"design({t}-({v},{k},1) resolvable, {len(design.classes)} classes)"
     return _finish(words, m * v, guaranteed, profile, prov, len(design.classes))

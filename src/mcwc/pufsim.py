@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import BinaryCode, CodeError, word_blocks
+from .codes import BinaryCode, CodeError, unpack_words
 
 QUANTUM = 2.0**-30
 # Each sweep worker holds 17 bytes per trial (two float64 noise rows and a bool
@@ -125,11 +125,7 @@ def word_matrix(dev: DelayModel, code: BinaryCode, word: int) -> np.ndarray:
         raise ModelError(
             f"code profile {code.profile.describe()} does not fit a {dev.m} x {dev.n} device"
         )
-    rows = word_blocks(word, code.profile)
-    return np.array(
-        [[(row >> (dev.n - 1 - j)) & 1 for j in range(dev.n)] for row in rows],
-        dtype=np.intp,
-    )
+    return unpack_words([word], code.length).reshape(dev.m, dev.n).astype(np.intp)
 
 
 def measure_delay(dev: DelayModel, bits: np.ndarray) -> float:

@@ -503,6 +503,23 @@ def test_table_build_keeps_recursion_limit():
     assert sys.getrecursionlimit() == limit
 
 
+def test_too_deep_johnson_recursion_exits_2(capsys):
+    from mcwc.cli import main
+
+    limit = sys.getrecursionlimit()
+    bounds_mod._JOHNSON_ROWS.clear()
+    for argv in (["--m", "2", "--n", "500"], ["--m", "1", "--n", "1000"]):
+        status = main(["bound", *argv, "--d", "4", "--w", "2", "--vertex-cap", "0"])
+        err = capsys.readouterr().err
+        assert status == 2 and "SearchSpaceError" in err and "Traceback" not in err
+    assert sys.getrecursionlimit() == limit
+    # The failed runs memoised only rows whose recursion completed.
+    for parts in (((6, 2), (7, 2)), ((7, 2), (7, 2)), ((9, 2),)):
+        for d in (4, 6, 8):
+            assert johnson_general_pair(parts, d) == reference_johnson_general(parts, d)
+    assert johnson_homogeneous(2, 9, 4, 2).value == reference_johnson_homogeneous(2, 9, 4, 2)[0]
+
+
 def test_exact_search_vertex_cap():
     with pytest.raises(SearchSpaceError):
         exact_search(3, 8, 4, 3, vertex_cap=1000)
@@ -821,6 +838,22 @@ def test_small_table_invariants():
         inner = exacts.get((m, n - 1, d, w))
         if inner is not None and n - w >= 1:
             assert value <= (n**m * inner) // ((n - w) ** m)
+
+
+def _csv(table):
+    buf = io.StringIO()
+    table.write_csv(buf)
+    return buf.getvalue()
+
+
+def test_table_ignores_value_order_and_repeats():
+    # (2,4,6,2) reads the m = 1 cell (1,8,6,4) it embeds in, when that is known.
+    ascending = table_build([1, 2], [4, 8], [2, 4], [6])
+    assert _csv(table_build([2, 1], [8, 4], [4, 2], [6])) == _csv(ascending)
+    assert "constant-weight embedding[computed" in ascending.best_upper((2, 4, 6, 2))[1]
+    single = table_build([1], [5], [2], [4])
+    assert table_build([1, 1], [5, 5], [2, 2], [4, 4]).records == single.records
+    assert len(single.records[(1, 5, 4, 2)]) == 3
 
 
 def test_table_csv_export():

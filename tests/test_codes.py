@@ -21,13 +21,20 @@ from mcwc.codes import (
     find_systematic_set,
     hamming_distance,
     indicator_words,
-    restriction,
+    pack_words,
+    unpack_words,
     VerificationReport,
     verify_code,
-    word_blocks,
     word_from_str,
     word_to_str,
 )
+
+
+def word_blocks(word, profile):
+    """A packed word's per-block ints, leftmost block first, read off its text form."""
+    text = word_to_str(word, profile.length)
+    ends = [sum(n_i for n_i, _ in profile.parts[: i + 1]) for i in range(profile.m)]
+    return tuple(int(text[end - n_i:end] or "0", 2) for (n_i, _), end in zip(profile.parts, ends))
 
 
 def test_hamming_examples():
@@ -70,6 +77,21 @@ def test_word_str_round_trip():
         word_from_str("01a1")
     with pytest.raises(CodeError):
         word_from_str("")
+
+
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+def test_pack_unpack_match_word_to_str(length):
+    import numpy as np
+
+    rng = random.Random(length)
+    words = sorted({rng.getrandbits(length) for _ in range(20)} | {0, (1 << length) - 1})
+    bits = unpack_words(words, length)
+    assert bits.shape == (len(words), length) and bits.dtype == np.uint8
+    assert ["".join(map(str, row)) for row in bits.tolist()] == [word_to_str(w, length) for w in words]
+    assert pack_words(bits) == words
+    assert pack_words(bits.astype(bool)) == pack_words(bits.astype(np.intp)) == words
+    empty = unpack_words([], length)
+    assert empty.shape == (0, length) and pack_words(empty) == []
 
 
 def test_profile_basics():
@@ -329,7 +351,7 @@ def test_systematic_set_examples():
 def test_systematic_set_is_bijective():
     code = BinaryCode.from_words(["0011", "0101", "1010", "1111"], 4)
     coords = find_systematic_set(code)
-    patterns = {restriction(w, code.length, coords) for w in code.words}
+    patterns = {"".join(word[j] for j in coords) for word in code.word_strings()}
     assert len(patterns) == len(code.words) == 4
 
 

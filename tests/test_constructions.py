@@ -203,6 +203,10 @@ def test_qary_expand_collapse_inverse():
     )
     result = qary_expand(code, 1)
     assert qary_fields(qary_collapse(result.code)) == qary_fields(code)
+    profile = WeightProfile.homogeneous(2, 3, 1)
+    for words in (["100000", "010001"], ["110001"]):  # a block with no one, one with two
+        with pytest.raises(ConstructionError, match="exactly one 1"):
+            qary_collapse(BinaryCode.from_words(words, 6, 2, profile))
 
 
 def test_qary_expand_single_word():
