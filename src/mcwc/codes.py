@@ -87,15 +87,19 @@ class WeightProfile:
 def pack_words(bits) -> list[int]:
     """Rows of a (count, length) 0/1 array as packed words: column j is bit length-1-j.
 
-    Nonzero entries count as 1.  unpack_words is the inverse.
+    Nonzero entries count as 1.  unpack_words is the inverse.  Words of up to
+    64 bits pass through one big-endian uint64 each, so numpy makes the ints.
     """
     import numpy as np
 
     count, length = np.shape(bits)
-    if not length:
-        return [0] * count
     width, pad = -(-length // 8), -length % 8
-    raw = np.packbits(bits, axis=1).tobytes()
+    packed = np.packbits(bits, axis=1)
+    if width <= 8:
+        limbs = np.zeros((count, 8), dtype=np.uint8)
+        limbs[:, 8 - width:] = packed
+        return (limbs.view(">u8")[:, 0] >> pad).tolist()
+    raw = packed.tobytes()
     return [int.from_bytes(raw[i:i + width], "big") >> pad for i in range(0, count * width, width)]
 
 
@@ -104,9 +108,11 @@ def unpack_words(words: Sequence[int], length: int):
     import numpy as np
 
     width = -(-length // 8)
-    raw = b"".join(word.to_bytes(width, "big") for word in words)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), width)
-    return np.unpackbits(rows, axis=1)[:, 8 * width - length:]
+    if width <= 8:
+        width, raw = 8, np.array(words, dtype=">u8").view(np.uint8)
+    else:
+        raw = np.frombuffer(b"".join(word.to_bytes(width, "big") for word in words), np.uint8)
+    return np.unpackbits(raw.reshape(len(words), width), axis=1)[:, 8 * width - length:]
 
 
 def word_to_str(word: int, length: int) -> str:
