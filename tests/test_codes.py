@@ -88,7 +88,7 @@ def test_pack_unpack_match_word_to_str(length):
     bits = unpack_words(words, length)
     assert bits.shape == (len(words), length) and bits.dtype == np.uint8
     assert ["".join(map(str, row)) for row in bits.tolist()] == [word_to_str(w, length) for w in words]
-    assert pack_words(bits) == words
+    assert pack_words(bits) == words and all(type(w) is int for w in pack_words(bits))
     assert pack_words(bits.astype(bool)) == pack_words(bits.astype(np.intp)) == words
     empty = unpack_words([], length)
     assert empty.shape == (0, length) and pack_words(empty) == []
