@@ -21,11 +21,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 from . import designs as designs_mod
 from .clique import max_clique, pack_rows
-from .codes import BinaryCode, WeightProfile, distance_tiles, pack_words, word_limbs
+from .codes import BinaryCode, WeightProfile, distance_tiles
 from .constructions import (
     CONSTRUCTION_SIZE_CAP,
     ConstructionError,
@@ -294,15 +294,15 @@ def eb_transfer(m: int, n: int, d: int, w: int, a_lower: int, source: str = "") 
 
 # ---------- exact search ----------
 
-def _profile_vertices(m: int, n: int, w: int) -> list[int]:
-    """All C(n,w)^m profile words, rows in product(combinations(range(n), w)) order."""
+def _profile_vertices(m: int, n: int, w: int):
+    """Packed rows of all C(n,w)^m profile words, in product(combinations(range(n), w)) order."""
     import numpy as np
 
     supports = np.array(list(combinations(range(n), w)), dtype=np.intp)
     rows = np.zeros((len(supports), n), dtype=np.uint8)
     np.put_along_axis(rows, supports, 1, axis=1)
     choices = np.indices((len(rows),) * m).reshape(m, len(rows) ** m).T
-    return pack_words(rows[choices].reshape(len(choices), m * n))
+    return np.packbits(rows[choices].reshape(len(choices), m * n), axis=1)
 
 
 def exact_search(
@@ -329,6 +329,8 @@ def exact_search(
     finds a code of that size and returns it as a lower record ("met upper
     bound"); the bound's own record then makes the cell exact.
     """
+    import numpy as np
+
     if not 0 <= w <= n or m < 1:
         raise SearchSpaceError(f"no words for cell ({m},{n},{d},{w})")
     total = comb(n, w) ** m
@@ -350,12 +352,11 @@ def exact_search(
     if d_eff > 2 * m * min(w, n - w):
         return finish("exact", 1, "distance exceeds diameter", vertices[:1])
 
-    base = vertices[0]
-    neighbours = [v for v in vertices[1:] if (base ^ v).bit_count() >= d_eff]
+    neighbours = vertices[np.bitwise_count(vertices ^ vertices[0]).sum(axis=1) >= d_eff]
     # The base word is fixed, so the neighbourhood needs one word fewer.
     result = max_clique(_adjacency(neighbours, d_eff), node_budget, target=upper - 1)
     value = 1 + result.size
-    witness = [base] + [neighbours[i] for i in result.members]
+    witness = np.vstack([vertices[:1], neighbours[list(result.members)]])
 
     if result.stop_reason == "done":
         return finish("exact", value, f"complete, nodes={result.nodes}", witness)
@@ -366,14 +367,12 @@ def exact_search(
     )
 
 
-def _adjacency(words: Sequence[int], d: int) -> list[int]:
-    """Bitmask rows of the graph joining distinct words at distance >= d."""
+def _adjacency(words, d: int) -> list[int]:
+    """Bitmask rows of the graph joining distinct words, packed rows, at distance >= d."""
     import numpy as np  # imported on first use, as in mcwc.clique
 
-    if not words:
-        return []
     adj: list[int] = []
-    for start, dist in distance_tiles(word_limbs(words, max(words).bit_length())):
+    for start, dist in distance_tiles(words):
         near = dist >= d
         rows = np.arange(len(near))
         near[rows, start + rows] = False
@@ -385,14 +384,18 @@ def _adjacency(words: Sequence[int], d: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ReferenceValue:
-    kind: str  # "A": binary constant-weight, the one kind read
-    q: int
-    n: int
+    n: int  # bounds on the binary constant-weight quantity A(n, d, w)
     d: int
-    w: int | None
+    w: int
     lower: int | None
     upper: int | None
     source: str
+
+    def __post_init__(self):
+        known = [x for x in (self.lower, self.upper) if x is not None]
+        if min(known, default=0) < 0 or known != sorted(known):
+            raise ReferenceFormatError(f"reference {self.source}: A({self.n},{self.d},{self.w}) has "
+                                       f"lower {self.lower}, upper {self.upper}, not 0 <= lower <= upper")
 
 
 # Small embedded baseline.  The exhaustive-search rows are re-derived by the
@@ -420,25 +423,19 @@ class ReferenceStore:
             self.add(row)
 
     def add(self, row: ReferenceValue) -> None:
-        key = (row.kind, row.q, row.n, row.d, row.w)
+        key = (row.n, row.d, row.w)
         old = self._rows.get(key)
         if old is not None:
             lowers = [x for x in (old.lower, row.lower) if x is not None]
             uppers = [x for x in (old.upper, row.upper) if x is not None]
-            lower = max(lowers) if lowers else None
-            upper = min(uppers) if uppers else None
-            if lower is not None and upper is not None and lower > upper:
-                raise ReferenceFormatError(
-                    f"reference rows conflict on {key}: {old.source} vs {row.source}"
-                )
             row = ReferenceValue(
-                row.kind, row.q, row.n, row.d, row.w, lower, upper,
+                *key, max(lowers, default=None), min(uppers, default=None),
                 f"{old.source}+{row.source}",
             )
         self._rows[key] = row
 
     def cwc(self, n: int, d: int, w: int) -> ReferenceValue | None:
-        return self._rows.get(("A", 2, n, d, w))
+        return self._rows.get((n, d, w))
 
     @classmethod
     def from_csv(cls, text: str) -> "ReferenceStore":
@@ -450,12 +447,14 @@ class ReferenceStore:
         for ln in lines[1:]:
             try:
                 kind, q, n, d, w, lower, upper, source = (x.strip() for x in ln.split(","))
-                optional = (int(x) if x else None for x in (w, lower, upper))
-                rows.append(ReferenceValue(kind, int(q), int(n), int(d), *optional, source))
+                if kind != "A" or int(q) != 2:
+                    raise ReferenceFormatError(f"reference row {ln!r} is not of kind A with q=2")
+                bounds = (int(x) if x else None for x in (lower, upper))
+                rows.append(ReferenceValue(int(n), int(d), int(w), *bounds, source))
+            except ReferenceFormatError:
+                raise
             except ValueError as exc:
                 raise ReferenceFormatError(f"bad reference row {ln!r}") from exc
-            if (rows[-1].kind, rows[-1].q) != ("A", 2):
-                raise ReferenceFormatError(f"reference row {ln!r} is not of kind A with q=2")
         return cls(rows)
 
 

@@ -38,7 +38,6 @@ from .codes import (
     WeightProfile,
     code_read_path,
     code_write,
-    unpack_words,
     verify_code,
 )
 from .constructions import (
@@ -143,10 +142,7 @@ def _resolve_binary(spec: str, inputs: list[str]) -> BinaryCode:
 def _resolve_qary(spec: str, inputs: list[str]) -> QaryCode:
     """A q-ary code file; a binary one with no profile is read as q=2 symbols."""
     inputs.append(spec)
-    code = code_read_path(spec)
-    if isinstance(code, BinaryCode) and code.profile is None:
-        bits = unpack_words(code.words, code.length)
-        code = QaryCode.from_words(bits, 2, code.length, code.claimed_distance)
+    code = code_read_path(spec, symbols=True)
     if not isinstance(code, QaryCode):
         raise CodeError(f"{spec} is not a q-ary code file")
     return code

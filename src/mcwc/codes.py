@@ -1,19 +1,15 @@
 """Codeword and code types, distance/weight verification, systematic sets, file I/O.
 
-Binary words are packed into Python ints: coordinate j (0-based, reading the
-word left to right) is bit (length-1-j), so ``format(word, f"0{n}b")`` prints
-the word in natural order.  pack_words and unpack_words convert packed words
-to and from (count, length) 0/1 numpy rows, all words in one call.  Outside
-this module they are the only code that knows the bit order: constructions,
-designs, search vertices, PUF control matrices and q=2 symbol rows are built
-or read as 0/1 rows through them, blocks left to right.  A q-ary code holds
-its words as one 2-D numpy array, one row per word in the narrowest unsigned
-dtype that holds q-1, from the encoder through the file to the verifier.  One
-kernel verifies both alphabets in numpy over row tiles of a bounded byte
-size: binary words split into uint64 limbs and differ by XOR popcount, q-ary
-words are compared symbol by symbol, in memory of words x length x dtype
-bytes.  Only q-ary expansion builds the symbol-indicator layout
-(indicator_words).
+Both alphabets keep their words as one 2-D numpy array of sorted, distinct
+rows, from every builder through the file to the verifier.  A binary row is
+np.packbits bytes: coordinate j (0-based, left to right) is bit 7 - j % 8 of
+byte j // 8, the pad bits are zero, and byte order is the order of the words
+read as binary numbers.  Builders pack 0/1 rows, blocks left to right, and
+readers np.unpackbits(..., count=length) them; ints and "0101" strings are
+only an edge format (from_words, word_strings).  A q-ary row holds symbols
+in the narrowest unsigned dtype that holds q-1.  One kernel verifies both
+alphabets over row tiles of a bounded byte size: binary rows differ by XOR
+popcount, q-ary rows symbol by symbol.
 """
 
 from __future__ import annotations
@@ -60,15 +56,6 @@ class WeightProfile:
     def is_homogeneous(self) -> bool:
         return len(set(self.parts)) == 1
 
-    def masks(self) -> tuple[int, ...]:
-        """Each block's bits within a packed word, leftmost block first."""
-        out = []
-        remaining = self.length
-        for n_i, _ in self.parts:
-            remaining -= n_i
-            out.append(((1 << n_i) - 1) << remaining)
-        return tuple(out)
-
     def describe(self) -> str:
         return ",".join(f"{n_i}:{w_i}" for n_i, w_i in self.parts)
 
@@ -82,41 +69,6 @@ class WeightProfile:
         except ValueError as exc:
             raise CodeError(f"bad profile spec {text!r}") from exc
         return cls(parts)
-
-
-def pack_words(bits) -> list[int]:
-    """Rows of a (count, length) 0/1 array as packed words: column j is bit length-1-j.
-
-    Nonzero entries count as 1.  unpack_words is the inverse.  Words of up to
-    64 bits pass through one big-endian uint64 each, so numpy makes the ints.
-    """
-    import numpy as np
-
-    count, length = np.shape(bits)
-    width, pad = -(-length // 8), -length % 8
-    packed = np.packbits(bits, axis=1)
-    if width <= 8:
-        limbs = np.zeros((count, 8), dtype=np.uint8)
-        limbs[:, 8 - width:] = packed
-        return (limbs.view(">u8")[:, 0] >> pad).tolist()
-    raw = packed.tobytes()
-    return [int.from_bytes(raw[i:i + width], "big") >> pad for i in range(0, count * width, width)]
-
-
-def unpack_words(words: Sequence[int], length: int):
-    """The (count, length) uint8 0/1 array whose rows pack_words packs into `words`."""
-    import numpy as np
-
-    width = -(-length // 8)
-    if width <= 8:
-        width, raw = 8, np.array(words, dtype=">u8").view(np.uint8)
-    else:
-        raw = np.frombuffer(b"".join(word.to_bytes(width, "big") for word in words), np.uint8)
-    return np.unpackbits(raw.reshape(len(words), width), axis=1)[:, 8 * width - length:]
-
-
-def word_to_str(word: int, length: int) -> str:
-    return format(word, f"0{length}b") if length else ""
 
 
 def word_from_str(text: str) -> int:
@@ -139,59 +91,102 @@ def hamming_distance(u: Wordlike, v: Wordlike) -> int:
 
 # ---------- codes ----------
 
-@dataclass(frozen=True)
+def _row_keys(words):
+    """One bytes key per row of a 2-D unsigned array (a view for uint8): keys compare as rows do."""
+    import numpy as np
+
+    # Big-endian bytes compare in the order of the values they hold.
+    big = np.ascontiguousarray(words, dtype=words.dtype.newbyteorder(">"))
+    return big.view(np.dtype(("S", big.itemsize * big.shape[1]))).ravel()
+
+
+def _sorted_rows(words):
+    """The rows of a 2-D unsigned array in lexicographic order."""
+    return words[_row_keys(words).argsort(kind="stable")] if words.size else words
+
+
+def _check_rows(words, show) -> None:
+    """Raise CodeError unless the rows of `words` are sorted and distinct; show(row) names a row."""
+    if len(words) < 2:
+        return
+    if not words.shape[1]:  # rows of no bytes have no keys
+        raise CodeError(f"duplicate word {show(words[0])}")
+    keys = _row_keys(words)
+    same = (keys[1:] == keys[:-1]).nonzero()[0]
+    if len(same):
+        raise CodeError(f"duplicate word {show(words[same[0]])}")
+    if (keys[1:] < keys[:-1]).any():
+        raise CodeError("words must be sorted")
+
+
+@dataclass(frozen=True, eq=False)
 class BinaryCode:
     """A set of equal-length binary words with a claimed minimum distance.
 
-    Words are stored sorted and deduplicated, giving canonical equality.
+    words is a 2-D uint8 array of np.packbits rows, ceil(length / 8) bytes
+    each, with zero pad bits; its rows are sorted and distinct.
     """
 
     length: int
-    words: tuple[int, ...]
+    words: object  # numpy array of shape (word count, ceil(length / 8))
     claimed_distance: int = 0
     profile: WeightProfile | None = None
 
     def __post_init__(self):
         if self.length < 0:
             raise CodeError("negative length")
-        prev = -1
-        for wd in self.words:
-            if not 0 <= wd < (1 << self.length):
-                raise CodeError(f"word {wd} out of range for length {self.length}")
-            if wd <= prev:
-                raise CodeError("words must be strictly increasing (sorted, distinct)")
-            prev = wd
+        words, width, pad = self.words, -(-self.length // 8), -self.length % 8
+        if words.dtype != "uint8" or words.shape[1:] != (width,):
+            raise CodeError(f"words must be a 2-D uint8 array of {width} packed bytes per row")
+        if pad and (words[:, -1] & ((1 << pad) - 1)).any():
+            raise CodeError(f"a word has nonzero pad bits past length {self.length}")
+        _check_rows(words, lambda row: next(_word_strings(row[None], self.length)))
         if self.profile is not None and self.profile.length != self.length:
             raise CodeError("profile length does not match code length")
 
     @classmethod
     def from_words(
         cls,
-        words: Iterable[int | str],
+        words,
         length: int | None = None,
         claimed_distance: int = 0,
         profile: WeightProfile | None = None,
     ) -> "BinaryCode":
-        packed = []
+        """The code of `words` in any order: ints (coordinate j is bit length-1-j),
+        "0101" strings, or the packed rows of a 2-D uint8 array."""
+        import numpy as np
+
+        if isinstance(words, np.ndarray) and words.ndim == 2:
+            return cls(length, _sorted_rows(words), claimed_distance, profile)
+        ints = []
         for wd in words:
             if isinstance(wd, str):
-                if length is None:
-                    length = len(wd)
-                elif len(wd) != length:
-                    raise CodeError("mixed word lengths")
-                packed.append(word_from_str(wd))
-            else:
-                packed.append(int(wd))
+                length = len(wd) if length is None else length
+                if len(wd) != length:
+                    raise CodeError(f"word {wd!r} does not have length {length}")
+                wd = word_from_str(wd)
+            ints.append(int(wd))
         if length is None:
-            raise CodeError("length required when words are given as ints")
-        packed.sort()
-        for a, b in zip(packed, packed[1:]):
-            if a == b:
-                raise CodeError(f"duplicate word {word_to_str(a, length)}")
-        return cls(length, tuple(packed), claimed_distance, profile)
+            raise CodeError("length required when words are not strings")
+        width, pad = -(-length // 8), -length % 8
+        try:
+            raw = b"".join((wd << pad).to_bytes(width, "big") for wd in ints)
+        except OverflowError as exc:
+            raise CodeError(f"a word is out of range for length {length}") from exc
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(ints), width)
+        return cls(length, _sorted_rows(rows), claimed_distance, profile)
 
     def word_strings(self) -> list[str]:
-        return [word_to_str(wd, self.length) for wd in self.words]
+        return list(_word_strings(self.words, self.length))
+
+
+def _word_strings(words, length: int) -> Iterator[str]:
+    """Each packed row as a "0101" string, unpacked about TILE_BYTES bits at a time."""
+    import numpy as np
+
+    for rows in _tiles(len(words), length):
+        for row in np.unpackbits(words[rows], axis=1, count=length) + ord("0"):
+            yield row.tobytes().decode()
 
 
 def _symbol_dtype(q: int):
@@ -217,20 +212,12 @@ class QaryCode:
     claimed_distance: int = 0
 
     def __post_init__(self):
-        import numpy as np
-
         words, dtype = self.words, _symbol_dtype(self.q)
         if words.dtype != dtype or words.shape[1:] != (self.length,) or self.length < 1:
             raise CodeError(f"words must be a 2-D {dtype} array of {self.length} >= 1 columns")
         if words.size and words.max() >= self.q:
             raise CodeError(f"symbol {words.max()} out of range for q={self.q}")
-        # Each word against the next, at the first position where they differ.
-        differ = words[:-1] != words[1:]
-        rows, first = np.arange(len(differ)), differ.argmax(axis=1)
-        if not differ[rows, first].all():
-            raise CodeError(f"duplicate word {words[differ[rows, first].argmin()].tolist()}")
-        if (words[rows, first] > words[rows + 1, first]).any():
-            raise CodeError("words must be sorted")
+        _check_rows(words, lambda row: row.tolist())
 
     @classmethod
     def from_words(
@@ -249,9 +236,7 @@ class QaryCode:
         if words.size and words.max() >= q:
             raise CodeError(f"symbol out of range for q={q}")
         words = words.astype(_symbol_dtype(q), copy=False)
-        if words.shape[1]:  # lexsort needs a key
-            words = words[np.lexsort(words.T[::-1])]
-        return cls(q, words.shape[1], words, claimed_distance)
+        return cls(q, words.shape[1], _sorted_rows(words), claimed_distance)
 
 
 Code = Union[BinaryCode, QaryCode]
@@ -279,33 +264,28 @@ class VerificationReport:
 # Bytes of one comparison temporary in a distance tile (one limb or symbol
 # position of a tile's rows against its columns): a tile's row count follows
 # from the word count and element width alone, so its temporaries stay near
-# this for any word length.
+# this for any word length.  Unpacked 0/1 rows are built and read about this
+# many bytes at a time too.
 TILE_BYTES = 1 << 18
 
 
 # numpy is imported inside the functions that use it, as in mcwc.clique.
 
-def word_limbs(words: Sequence[int], bits: int):
-    """Words of at most `bits` bits split into uint64 limbs, limb-major.
-
-    Row l holds limb l (bits 64l to 64l+63) of every word, so each limb of all
-    words is one contiguous numpy array.
-    """
-    import numpy as np
-
-    width = max(1, -(-bits // 64))
-    raw = b"".join(word.to_bytes(8 * width, "little") for word in words)
-    return np.ascontiguousarray(np.frombuffer(raw, dtype="<u8").reshape(len(words), width).T)
+def _tiles(count: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices of `count` rows of row_bytes bytes, about TILE_BYTES each."""
+    rows = max(1, TILE_BYTES // max(1, row_bytes))
+    return [slice(start, min(start + rows, count)) for start in range(0, count, rows)]
 
 
-def distance_tiles(parts, later: bool = False, symbols: bool = False) -> Iterator[tuple[int, object]]:
-    """Yield (start, dist) over consecutive tiles of the words whose parts are given.
+def distance_tiles(words, later: bool = False, symbols: bool = False) -> Iterator[tuple[int, object]]:
+    """Yield (start, dist) over consecutive tiles of a code's word array.
 
-    Row l of `parts` holds part l of every word: its uint64 limb l from
-    word_limbs or, with `symbols`, its q-ary symbol at position l.  dist[r, c]
-    is the distance between words start + r and c, summed over the parts in the
-    narrowest unsigned dtype that holds the word width: the XOR popcount of
-    limbs, or the count of unequal symbols.  With `later` each tile is set
+    words holds packed binary rows or, with `symbols`, q-ary symbol rows.
+    Binary rows are zero-padded to uint64 limbs; an XOR popcount does not
+    depend on the bit order inside a limb.  dist[r, c] is the distance
+    between words start + r and c, summed over limbs or symbol positions in
+    the narrowest unsigned dtype that holds the word width: the XOR popcount
+    of limbs, or the count of unequal symbols.  With `later` each tile is set
     against the words after its first word only: dist[r, c] pairs words
     start + r and start + 1 + c, entries with c < r hold the dtype's maximum
     (which no distance exceeds, and row 0 has no such entry), and the last
@@ -313,6 +293,14 @@ def distance_tiles(parts, later: bool = False, symbols: bool = False) -> Iterato
     """
     import numpy as np
 
+    if symbols:
+        parts = np.ascontiguousarray(words.T)
+    else:  # row l holds limb l, bytes 8l to 8l+7 zero-padded, of every word
+        count, width = words.shape
+        parts = np.zeros((max(1, -(-width // 8)), count), dtype=np.uint64)
+        limbs, full = parts.view(np.uint8).reshape(len(parts), count, 8), width // 8
+        limbs[:full] = words[:, :8 * full].reshape(count, full, 8).transpose(1, 0, 2)
+        limbs[full:, :, :width % 8] = words[:, 8 * full:]
     width, count = parts.shape
     dtype = np.min_scalar_type(width if symbols else 64 * width)
     differ = np.not_equal if symbols else lambda a, b: np.bitwise_count(a ^ b)
@@ -332,15 +320,25 @@ def distance_tiles(parts, later: bool = False, symbols: bool = False) -> Iterato
         yield start, dist
 
 
+def pack_tiles(count: int, length: int, tile):
+    """Packed rows of `count` words; tile(rows) gives the 0/1 rows of slice `rows` in any shape."""
+    import numpy as np
+
+    words = np.empty((count, -(-length // 8)), dtype=np.uint8)
+    for rows in _tiles(count, length):
+        words[rows] = np.packbits(tile(rows).reshape(rows.stop - rows.start, length), axis=1)
+    return words
+
+
 # Most indicator bits (words x q x length) indicator_words builds: 256 MiB.
 MAX_INDICATOR_BITS = 1 << 31
 
 
-def indicator_words(code: QaryCode) -> list[int]:
-    """Each word as q-bit symbol indicators, position 0 leftmost: symbol s sets bit q-1-s.
+def indicator_words(code: QaryCode):
+    """Each word as packed q-bit symbol indicators, position 0 leftmost: symbol s sets column s.
 
     A code of more than MAX_INDICATOR_BITS bits in all is refused before any
-    word is built.  The 0/1 rows are built about TILE_BYTES at a time.
+    word is built.
     """
     import numpy as np
 
@@ -348,12 +346,8 @@ def indicator_words(code: QaryCode) -> list[int]:
     bits = len(code.words) * q * length
     if bits > MAX_INDICATOR_BITS:
         raise CodeError(f"{bits} indicator bits exceed the cap of {MAX_INDICATOR_BITS}")
-    rows = max(1, TILE_BYTES // (q * length))
-    words = []
-    for start in range(0, len(code.words), rows):
-        indicators = code.words[start:start + rows, :, None] == np.arange(q, dtype=code.words.dtype)
-        words += pack_words(indicators.reshape(-1, q * length))
-    return words
+    symbols = np.arange(q, dtype=code.words.dtype)
+    return pack_tiles(len(code.words), q * length, lambda rows: code.words[rows, :, None] == symbols)
 
 
 def verify_code(code: Code) -> VerificationReport:
@@ -368,14 +362,16 @@ def verify_code(code: Code) -> VerificationReport:
         raise CodeError("cannot verify an empty code")
 
     binary = isinstance(code, BinaryCode)
-    parts = word_limbs(code.words, code.length) if binary else np.ascontiguousarray(code.words.T)
     violations: list[tuple[int, int, int, int]] = []
     if binary and code.profile is not None:
-        masks = word_limbs(code.profile.masks(), code.length).T
         want = [w_i for _, w_i in code.profile.parts]
+        ends = np.cumsum([0] + [n_i for n_i, _ in code.profile.parts])
         got = np.empty((len(code.words), len(want)), dtype=np.int64)
-        for bi, mask in enumerate(masks):
-            got[:, bi] = np.bitwise_count(parts & mask[:, None]).sum(axis=0)
+        for rows in _tiles(len(code.words), code.length):
+            bits = np.unpackbits(code.words[rows], axis=1, count=code.length)
+            ones = np.zeros((len(bits), code.length + 1), np.min_scalar_type(code.length))
+            np.cumsum(bits, axis=1, out=ones[:, 1:])  # ones[:, j]: ones before column j
+            got[rows] = np.diff(ones[:, ends], axis=1)
         # nonzero lists the (word, block) entries in row-major order.
         bad_words, bad_blocks = np.nonzero(got != want)
         violations = [
@@ -385,7 +381,7 @@ def verify_code(code: Code) -> VerificationReport:
 
     min_dist: float = math.inf
     closest = None
-    for start, dist in distance_tiles(parts, later=True, symbols=not binary):
+    for start, dist in distance_tiles(code.words, later=True, symbols=not binary):
         # argmin takes the first minimum in row-major order, so with tiles in
         # row order and a strict improvement test the first pair wins a tie.
         r, c = divmod(int(dist.argmin()), dist.shape[1])
@@ -413,13 +409,13 @@ def find_systematic_set(code: BinaryCode) -> tuple[int, ...] | None:
     k = size.bit_length() - 1
     if k == 0:
         return ()
-    bits = unpack_words(code.words, code.length)
+    bits = np.unpackbits(code.words, axis=1, count=code.length)
     varying = np.flatnonzero(bits.min(axis=0) != bits.max(axis=0)).tolist()
     if len(varying) < k:
         return None
 
     for coords in combinations(varying, k):
-        if len(set(pack_words(bits[:, coords]))) == size:
+        if len(set((bits[:, coords] @ (1 << np.arange(k))).tolist())) == size:  # patterns as ints
             return coords
     return None
 
@@ -437,8 +433,7 @@ def code_write(f: TextIO, code: Code, extra_comments: Sequence[str] = ()) -> Non
     if isinstance(code, BinaryCode):
         prof = code.profile.describe() if code.profile is not None else "none"
         f.write(f"# code q=2 len={code.length} d={code.claimed_distance} profile={prof}\n")
-        for wd in code.words:
-            f.write(word_to_str(wd, code.length) + "\n")
+        f.writelines(text + "\n" for text in _word_strings(code.words, code.length))
     else:
         f.write(f"# code q={code.q} len={code.length} d={code.claimed_distance} profile=none\n")
         sep = "" if code.q == 2 else ","
@@ -446,7 +441,9 @@ def code_write(f: TextIO, code: Code, extra_comments: Sequence[str] = ()) -> Non
             f.write(sep.join(map(str, row.tolist())) + "\n")
 
 
-def code_read(f: TextIO) -> Code:
+def code_read(f: TextIO, symbols: bool = False) -> Code:
+    """The code in a code file; with `symbols`, a q=2 file without a profile reads
+    as a QaryCode over {0, 1}, one symbol per binary digit."""
     import numpy as np
 
     header = None
@@ -482,15 +479,12 @@ def code_read(f: TextIO) -> Code:
     if fields.get("profile", "none") != "none":
         profile = WeightProfile.parse(fields["profile"])
 
-    if q == 2:
-        for line in body:
-            if len(line) != length:
-                raise CodeError(f"word {line!r} does not have length {length}")
+    if q == 2 and (profile is not None or not symbols):
         return BinaryCode.from_words(body, length, d, profile)
     words = np.empty((len(body), length), dtype=_symbol_dtype(q))
     for i, line in enumerate(body):
         try:
-            row = np.array(line.split(","), dtype=np.uint64)
+            row = np.array(list(line) if q == 2 else line.split(","), dtype=np.uint64)
         except (ValueError, OverflowError) as exc:
             raise CodeError(f"bad symbol line {line!r}") from exc
         if len(row) != length or row.max() >= q:
@@ -499,6 +493,6 @@ def code_read(f: TextIO) -> Code:
     return QaryCode.from_words(words, q, length, d)
 
 
-def code_read_path(path) -> Code:
+def code_read_path(path, symbols: bool = False) -> Code:
     with open(path) as f:
-        return code_read(f)
+        return code_read(f, symbols)

@@ -23,8 +23,7 @@ from .codes import (
     WeightProfile,
     find_systematic_set,
     indicator_words,
-    pack_words,
-    unpack_words,
+    pack_tiles,
     verify_code,
 )
 from .gf import DEFAULT_ORDER_CAP, Field, field_for_order, prime_power
@@ -32,16 +31,26 @@ from .gf import DEFAULT_ORDER_CAP, Field, field_for_order, prime_power
 
 # Largest code the table's construction providers build and verify exhaustively.
 CONSTRUCTION_SIZE_CAP = 512
-# Largest Reed-Solomon code (q^k words) reed_solomon builds; rs_mcwc's
-# witnesses, verified pairwise after expansion, stay under it too.
+# Most words of a Reed-Solomon code (q^k), catalog code or pseudo-product;
+# rs_mcwc's witnesses, verified pairwise after expansion, stay under it too.
 RS_SIZE_CAP = 64 * CONSTRUCTION_SIZE_CAP
-# Most symbols (words x length) reed_solomon builds.  It is above RS(182, 2)
+# Most symbols (words x length) of the same codes.  It is above RS(182, 2)
 # over GF(181), 5,962,502 symbols, the largest code rs_mcwc_params accepts.
 RS_SYMBOL_CAP = 1 << 23
 
 
 class ConstructionError(ValueError):
     pass
+
+
+def check_code_size(what: str, log2_words: int, length: int) -> None:
+    """Refuse 2^log2_words words of `length` bits over RS_SIZE_CAP words or RS_SYMBOL_CAP bits."""
+    if log2_words >= RS_SIZE_CAP.bit_length() or 1 << log2_words > RS_SIZE_CAP:
+        raise ConstructionError(f"{what} has 2^{log2_words} words, over the cap of {RS_SIZE_CAP}")
+    if (bits := (1 << log2_words) * length) > RS_SYMBOL_CAP:
+        raise ConstructionError(
+            f"{what} has 2^{log2_words} x {length} = {bits} bits, over the cap of {RS_SYMBOL_CAP}"
+        )
 
 
 @dataclass(frozen=True)
@@ -92,6 +101,8 @@ def concatenate(outer: QaryCode, inner: BinaryCode) -> ConstructionResult:
     The injection is fixed: symbol i goes to the i-th smallest inner word.
     Output distance is guaranteed >= d_inner * d_outer.
     """
+    import numpy as np
+
     n, w = _cwc_params(inner, "inner code")
     if len(inner.words) < outer.q:
         raise ConstructionError(
@@ -99,7 +110,8 @@ def concatenate(outer: QaryCode, inner: BinaryCode) -> ConstructionResult:
         )
     m = outer.length
     guaranteed = inner.claimed_distance * outer.claimed_distance
-    words = pack_words(unpack_words(inner.words, n)[outer.words].reshape(-1, m * n))
+    inner_bits = np.unpackbits(inner.words, axis=1, count=n)
+    words = pack_tiles(len(outer.words), m * n, lambda rows: inner_bits[outer.words[rows]])
     profile = WeightProfile.homogeneous(m, n, w)
     prov = f"concatenation(outer=({m},{outer.claimed_distance})_{outer.q}, inner=cwc({n},{inner.claimed_distance},{w}))"
     ingredients = (("outer code", outer), ("inner code", inner))
@@ -109,16 +121,17 @@ def concatenate(outer: QaryCode, inner: BinaryCode) -> ConstructionResult:
 # ---------- pseudo-product ----------
 
 def _systematic_encoder(code: BinaryCode, what: str):
-    """(k, table): table[p] is the 0/1 row of the codeword reading p on its systematic set."""
+    """(weights, table): table[p @ weights] is the 0/1 codeword reading p on the systematic set."""
     import numpy as np
 
     coords = find_systematic_set(code)
     if coords is None:
         raise ConstructionError(f"{what} is not systematic")
-    bits = unpack_words(code.words, code.length)
+    bits = np.unpackbits(code.words, axis=1, count=code.length)
+    weights = 1 << np.arange(len(coords))
     table = np.empty_like(bits)
-    table[pack_words(bits[:, coords])] = bits
-    return len(coords), table
+    table[bits[:, coords] @ weights] = bits
+    return weights, table
 
 
 def pseudo_product(cwc: BinaryCode, sys: BinaryCode) -> ConstructionResult:
@@ -127,22 +140,23 @@ def pseudo_product(cwc: BinaryCode, sys: BinaryCode) -> ConstructionResult:
     Columns of the information matrix are encoded through `sys` (length m),
     then each of the m resulting rows is encoded through `cwc` (length n,
     weight w), giving an m-by-n matrix of constant row weight w.  Produces
-    2^(k1*k2) codewords at distance >= d1*d2.
+    2^(k1*k2) codewords at distance >= d1*d2, size-checked before any is built.
     """
     import numpy as np
 
     n, w = _cwc_params(cwc, "constant-weight ingredient")
-    k1, row_table = _systematic_encoder(cwc, "constant-weight ingredient")
-    k2, col_table = _systematic_encoder(sys, "systematic ingredient")
-    m = sys.length
+    row_weights, row_table = _systematic_encoder(cwc, "constant-weight ingredient")
+    col_weights, col_table = _systematic_encoder(sys, "systematic ingredient")
+    k1, k2, m = len(row_weights), len(col_weights), sys.length
     guaranteed = cwc.claimed_distance * sys.claimed_distance
+    check_code_size("pseudo-product", k1 * k2, m * n)
     size = 1 << (k1 * k2)
 
     # Every choice of k1 information columns, each encoded through `sys`; then
     # each of the m rows, read as a k1-bit pattern, is encoded through `cwc`.
     cols = col_table[np.indices((1 << k2,) * k1).reshape(k1, size).T]
-    patterns = pack_words(cols.transpose(0, 2, 1).reshape(size * m, k1))
-    words = pack_words(row_table[patterns].reshape(size, m * n))
+    patterns = cols.transpose(0, 2, 1).reshape(size * m, k1) @ row_weights
+    words = np.packbits(row_table[patterns].reshape(size, m * n), axis=1)
     profile = WeightProfile.homogeneous(m, n, w)
     prov = f"pseudo-product(cwc({n},{cwc.claimed_distance},{w})^2^{k1} x sys({m},{sys.claimed_distance})^2^{k2})"
     ingredients = (("constant-weight ingredient", cwc), ("systematic ingredient", sys))
@@ -158,8 +172,8 @@ def complement_extend(code: BinaryCode) -> ConstructionResult:
     if find_systematic_set(code) is None:
         raise ConstructionError("ingredient is not systematic")
     n = code.length
-    bits = unpack_words(code.words, n)
-    words = pack_words(np.hstack([bits, 1 - bits]))
+    bits = np.unpackbits(code.words, axis=1, count=n)
+    words = np.packbits(np.hstack([bits, 1 - bits]), axis=1)
     profile = WeightProfile.homogeneous(1, 2 * n, n)
     prov = f"complement-extend(({n},{code.claimed_distance}) systematic)"
     return _finish(
@@ -184,8 +198,8 @@ def append_extend(k: int, cwc: BinaryCode) -> ConstructionResult:
     n, w = _cwc_params(cwc, "constant-weight ingredient")
     if len(cwc.words) < (1 << k):
         raise ConstructionError(f"need at least 2^{k} codewords, have {len(cwc.words)}")
-    x = unpack_words(range(1 << k), k)
-    words = pack_words(np.hstack([x, 1 - x, unpack_words(cwc.words[:1 << k], n)]))
+    x = np.indices((2,) * k, dtype=np.uint8).reshape(k, 1 << k).T  # k-bit patterns in order
+    words = np.packbits(np.hstack([x, 1 - x, np.unpackbits(cwc.words[:1 << k], axis=1, count=n)]), axis=1)
     profile = WeightProfile.homogeneous(1, n + 2 * k, w + k)
     prov = f"append-extend(k={k}, cwc({n},{cwc.claimed_distance},{w}))"
     return _finish(
@@ -216,6 +230,8 @@ def qary_expand(code: QaryCode, w: int) -> ConstructionResult:
 
 def qary_collapse(result_code: BinaryCode) -> QaryCode:
     """Inverse of qary_expand for w=1: read each block as one symbol indicator."""
+    import numpy as np
+
     if result_code.profile is None:
         raise ConstructionError("need a weight profile to collapse")
     parts = result_code.profile.parts
@@ -225,7 +241,7 @@ def qary_collapse(result_code: BinaryCode) -> QaryCode:
     if any(n_i != q for n_i, _ in parts):
         raise ConstructionError("collapse requires equal block lengths")
     # The one in the indicator block of symbol s is its column s.
-    bits = unpack_words(result_code.words, result_code.length).reshape(-1, len(parts), q)
+    bits = np.unpackbits(result_code.words, axis=1, count=len(parts) * q).reshape(-1, len(parts), q)
     if (bits.sum(axis=2) != 1).any():
         raise ConstructionError("a block does not hold exactly one 1")
     symbols = bits.argmax(axis=2)
@@ -281,7 +297,7 @@ def reed_solomon(field: Field, length: int, d: int) -> QaryCode:
     min_wt = int(weights[weights > 0].min()) if weights.any() else math.inf
     if min_wt != d:
         raise AssertionError(f"RS({length},{k})_{q}: min weight {min_wt} != {d}")
-    return QaryCode(q, length, words[np.lexsort(words.T[::-1])], d)
+    return QaryCode.from_words(words, q, length, d)
 
 
 def rs_mcwc_params(m: int, n: int, d: int, w: int) -> tuple[int, int]:
@@ -333,14 +349,9 @@ def _rm1(r: int) -> BinaryCode:
 
     n = 1 << r
     # Generator rows: all ones, then bit i of each coordinate's index.
-    gens = np.vstack([np.ones(n, dtype=np.uint8), unpack_words(range(n), r).T])
-    messages = unpack_words(range(1 << (r + 1)), r + 1)
-    return BinaryCode.from_words(pack_words(messages @ gens % 2), n, n // 2)
-
-
-def _parity(n: int) -> BinaryCode:
-    words = [wd for wd in range(1 << n) if wd.bit_count() % 2 == 0]
-    return BinaryCode.from_words(words, n, 2)
+    gens = np.vstack([np.ones(n, dtype=np.uint8), np.indices((2,) * r, dtype=np.uint8).reshape(r, n)])
+    messages = np.indices((2,) * (r + 1), dtype=np.uint8).reshape(r + 1, 2 * n).T
+    return BinaryCode.from_words(np.packbits(messages @ gens % 2, axis=1), n, n // 2)
 
 
 _FIXED_CATALOG = {
@@ -357,27 +368,33 @@ _FIXED_CATALOG = {
     ),
 }
 
+# (name pattern, (log2 of the word count, length), builder).  Parameters have at
+# most 9 digits, and rm1 lengths clip past the word cap, so sizes are cheap ints.
 _PARAM_CATALOG = (
-    (re.compile(r"rep-(\d+)$"), lambda n: BinaryCode.from_words(["0" * n, "1" * n], n, n)),
-    (re.compile(r"parity-(\d+)$"), _parity),
-    (re.compile(r"full-(\d+)$"), lambda n: BinaryCode.from_words(range(1 << n), n, 1)),
-    (re.compile(r"rm1-(\d+)$"), _rm1),
+    (re.compile(r"rep-(\d{1,9})$"), lambda n: (1, n),
+     lambda n: BinaryCode.from_words(["0" * n, "1" * n], n, n)),
+    (re.compile(r"parity-(\d{1,9})$"), lambda n: (n - 1, n),
+     lambda n: BinaryCode.from_words([x for x in range(1 << n) if x.bit_count() % 2 == 0], n, 2)),
+    (re.compile(r"full-(\d{1,9})$"), lambda n: (n, n),
+     lambda n: BinaryCode.from_words(range(1 << n), n, 1)),
+    (re.compile(r"rm1-(\d{1,9})$"), lambda r: (r + 1, 1 << min(r, 15)), _rm1),
 )
 
 _ALIASES = {"lin-4-3-2": "rm1-2", "lin-8-4-4": "rm1-3"}
 
 
 def builtin_code(name: str) -> BinaryCode:
-    """Look up a catalog ingredient by name (e.g. cwc-4-2-2, rep-3, rm1-3)."""
+    """Look up a catalog ingredient by name (e.g. cwc-4-2-2, rep-3, rm1-3), size-checked first."""
     name = _ALIASES.get(name, name)
     if name in _FIXED_CATALOG:
         return _FIXED_CATALOG[name]()
-    for pattern, make in _PARAM_CATALOG:
+    for pattern, size, make in _PARAM_CATALOG:
         match = pattern.match(name)
         if match:
             arg = int(match.group(1))
             if arg < 1:
                 break
+            check_code_size(f"builtin code {name}", *size(arg))
             return make(arg)
     raise CodeError(f"unknown builtin code {name!r}")
 
@@ -389,11 +406,13 @@ def builtin_names() -> list[str]:
 # ---------- ingredient pools for bound tables ----------
 
 def systematic_binary_pool(m: int) -> list[BinaryCode]:
-    """Systematic (m, d) catalog codes of length m."""
-    out = [builtin_code(f"full-{m}"), builtin_code(f"rep-{m}")]
-    if m >= 2:
+    """Systematic (m, d) catalog codes of length m, of at most CONSTRUCTION_SIZE_CAP words."""
+    top = CONSTRUCTION_SIZE_CAP.bit_length() - 1  # log2 of the most words
+    out = [builtin_code(f"full-{m}")] if m <= top else []
+    out.append(builtin_code(f"rep-{m}"))
+    if 2 <= m <= top + 1:
         out.append(builtin_code(f"parity-{m}"))
-    if m >= 2 and m & (m - 1) == 0:
+    if m >= 2 and m & (m - 1) == 0 and m.bit_length() <= top:
         out.append(builtin_code(f"rm1-{m.bit_length() - 1}"))
     if m == 6:
         out.append(builtin_code("lin-6-2-4"))
@@ -409,8 +428,7 @@ def systematic_cwc_pool(n: int, w: int) -> list[BinaryCode]:
         out.append(builtin_code("cwc-2-2-1"))
     if n == 2 * w and w >= 1:
         for base in systematic_binary_pool(w):
-            if len(base.words) <= CONSTRUCTION_SIZE_CAP:
-                out.append(complement_extend(base).code)
+            out.append(complement_extend(base).code)
     # Append extension of the small fixed constant-weight ingredients.
     for base_name in ("cwc-2-2-1", "cwc-4-2-2"):
         base = _FIXED_CATALOG[base_name]()

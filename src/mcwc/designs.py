@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence, TextIO
 
-from .codes import WeightProfile, pack_words
+from .codes import WeightProfile, pack_tiles
 from .constructions import ConstructionResult, _finish
 from .gf import field_for_order
 
@@ -161,11 +161,10 @@ def design_to_mcwc(design: ResolvableDesign) -> ConstructionResult:
     v, k, t = design.v, design.k, design.t
     m = v // k
     guaranteed = 2 * (k - t + 1) * m
-    words = []
-    for cls in design.classes:  # one class at a time: a word's 0/1 rows are m*v bytes
-        bits = np.zeros((m, v), dtype=np.uint8)
-        np.put_along_axis(bits, np.array(cls, dtype=np.intp), 1, axis=1)
-        words += pack_words(bits.reshape(1, m * v))
+
+    points = np.arange(v)  # row r of a class's word marks the points of its block r
+    words = pack_tiles(len(design.classes), m * v,
+                       lambda rows: (np.array(design.classes[rows])[..., None] == points).any(axis=2))
     profile = WeightProfile.homogeneous(m, v, k)
     prov = f"design({t}-({v},{k},1) resolvable, {len(design.classes)} classes)"
     return _finish(words, m * v, guaranteed, profile, prov, len(design.classes))

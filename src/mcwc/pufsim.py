@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import BinaryCode, CodeError, unpack_words
+from .codes import BinaryCode, CodeError, distance_tiles
 
 QUANTUM = 2.0**-30
 # Each sweep worker holds 17 bytes per trial (two float64 noise rows and a bool
@@ -117,15 +117,15 @@ def device_new(
     return _frozen_model(_quantize(mu), _quantize(eps), noise_sigma, seed)
 
 
-def word_matrix(dev: DelayModel, code: BinaryCode, word: int) -> np.ndarray:
-    """Control word as an (m, n) 0/1 array; the code blocks must match the grid."""
+def word_matrix(dev: DelayModel, code: BinaryCode, word: np.ndarray) -> np.ndarray:
+    """Control word (a packed row) as an (m, n) 0/1 array; the code blocks must match the grid."""
     if code.profile is None:
         raise CodeError("code carries no weight profile")
     if code.profile.m != dev.m or any(n_i != dev.n for n_i, _ in code.profile.parts):
         raise ModelError(
             f"code profile {code.profile.describe()} does not fit a {dev.m} x {dev.n} device"
         )
-    return unpack_words([word], code.length).reshape(dev.m, dev.n).astype(np.intp)
+    return np.unpackbits(word, count=code.length).reshape(dev.m, dev.n).astype(np.intp)
 
 
 def measure_delay(dev: DelayModel, bits: np.ndarray) -> float:
@@ -250,6 +250,9 @@ def _sweep(dev, code, noise_sigma, trials, seed, workers) -> SweepResult:
     delays = [measure_delay(dev, mat) for mat in matrices]
 
     pair_list = list(combinations(range(len(words)), 2))
+    # In pair_list order: row r of a tile pairs its word with the later words c >= r.
+    distances = [d for _, dist in distance_tiles(words, later=True)
+                 for d in dist[np.triu_indices(len(dist), 0, dist.shape[1])].tolist()]
     refs = [delays[i] - delays[j] for i, j in pair_list]
     flips = [0] * pair_count
     if noise_sigma > 0.0:
@@ -257,8 +260,7 @@ def _sweep(dev, code, noise_sigma, trials, seed, workers) -> SweepResult:
         _count_flips(jobs, flips, noise_sigma, trials, seed, workers)
     pairs = []
     sums: dict[int, list[float]] = {}
-    for idx, ((i, j), ref) in enumerate(zip(pair_list, refs)):
-        dist = (words[i] ^ words[j]).bit_count()
+    for idx, ((i, j), ref, dist) in enumerate(zip(pair_list, refs, distances)):
         if ref == 0.0:
             pairs.append(PairReliability(idx, i, j, dist, False, float("nan")))
             continue

@@ -268,7 +268,7 @@ def test_criterion_9_reliability_statistics():
         pairs = [(code.words[0], wd) for wd in code.words[1:]]
         targets = {}
         for u_word, v_word in pairs:
-            dist = (u_word ^ v_word).bit_count()
+            dist = int(np.bitwise_count(u_word ^ v_word).sum())
             if dist not in targets:
                 targets[dist] = (u_word, v_word)
         diffs = {dist: [] for dist in targets}

@@ -35,7 +35,7 @@ from mcwc.bounds import (
     tightness_exact,
     trivial_upper,
 )
-from mcwc.codes import WeightProfile, verify_code
+from mcwc.codes import BinaryCode, WeightProfile, verify_code
 
 
 # ---------- recursive bounds ----------
@@ -455,24 +455,29 @@ def pairwise_adjacency(words, d):
     return adj
 
 
+def adjacency(words, bits, d):
+    """_adjacency of the packed rows of int words, which come in sorted order."""
+    return bounds_mod._adjacency(BinaryCode.from_words(words, bits).words, d)
+
+
 @pytest.mark.parametrize("bits", [1, 12, 64, 65, 70, 130])
 def test_adjacency_matches_pairwise_oracle(bits):
     rng = random.Random(bits)
     for size in (0, 1, 2, 63, 64, 65, 150):
-        words = list({rng.getrandbits(bits) for _ in range(size)})
+        words = sorted({rng.getrandbits(bits) for _ in range(size)})
         for d in (1, 2, bits // 2, bits):
-            assert bounds_mod._adjacency(words, d) == pairwise_adjacency(words, d)
+            assert adjacency(words, bits, d) == pairwise_adjacency(words, d)
 
 
 def test_adjacency_spans_tiles(monkeypatch):
     rng = random.Random(5)
-    words = list({rng.getrandbits(24) for _ in range(700)})
+    words = sorted({rng.getrandbits(24) for _ in range(700)})
     assert len(words) > 10 * (codes_mod.TILE_BYTES // (8 * len(words)))
-    assert bounds_mod._adjacency(words, 12) == pairwise_adjacency(words, 12)
+    assert adjacency(words, 24, 12) == pairwise_adjacency(words, 12)
     # One row per tile, across limbs.
     monkeypatch.setattr(codes_mod, "TILE_BYTES", 64)
-    words = list({rng.getrandbits(130) for _ in range(80)})
-    assert bounds_mod._adjacency(words, 65) == pairwise_adjacency(words, 65)
+    words = sorted({rng.getrandbits(130) for _ in range(80)})
+    assert adjacency(words, 130, 65) == pairwise_adjacency(words, 65)
 
 
 def test_evaluate_cell_skips_search_on_pinned_cell(monkeypatch):
@@ -773,9 +778,9 @@ def test_reference_csv_round_trip():
 def test_reference_merge_conflict():
     from mcwc.bounds import ReferenceValue
 
-    store = ReferenceStore([ReferenceValue("A", 2, 5, 4, 2, None, 2, "a")])
+    store = ReferenceStore([ReferenceValue(5, 4, 2, None, 2, "a")])
     with pytest.raises(ReferenceFormatError):
-        store.add(ReferenceValue("A", 2, 5, 4, 2, 3, None, "b"))
+        store.add(ReferenceValue(5, 4, 2, 3, None, "b"))
 
 
 # ---------- the table ----------

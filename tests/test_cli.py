@@ -351,6 +351,10 @@ INPUT_FILES = {
     "qary_duplicate.txt": "# code q=3 len=2 d=1 profile=none\n0,1\n0,1\n",
     # one block of 60 points: C(60, 8) 8-subsets to count
     "design_t8.txt": "# design v=60 k=60 t=8\n" + ",".join(map(str, range(60))) + "\n",
+    # reference rows that would break the store
+    "ref_negative.csv": "kind,q,n,d,w,lower,upper,source\nA,2,8,4,4,-5,,neg\n",
+    "ref_no_w.csv": "kind,q,n,d,w,lower,upper,source\nA,2,8,4,,1,20,typo\n",
+    "ref_crossed.csv": "kind,q,n,d,w,lower,upper,source\nA,2,9,4,4,30,10,x\n",
 }
 ZERO_EPS = str([[[0.0, 0.0]] * 4] * 2)
 PUF_SIM = ["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "10"]
@@ -447,6 +451,26 @@ PUF_SIM = ["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "10"]
         ["design", "make", "--family", "one-factor", "--v", "1026"],
         ["design", "verify", "{tmp}/design_t8.txt"],
         ["construct", "design", "--file", "{tmp}/design_t8.txt"],
+    ]
+    + [
+        # argv67 on: reference rows that would break the store
+        ["bound", "--m", "1", "--n", "8", "--d", "4", "--w", "4", "--refs", "{tmp}/ref_negative.csv"],
+        ["bound", "--m", "1", "--n", "8", "--d", "4", "--w", "4", "--refs", "{tmp}/ref_no_w.csv"],
+        ["table", "--m", "1", "--n", "9", "--w", "4", "--d", "4", "--refs", "{tmp}/ref_crossed.csv"],
+    ]
+    + [
+        # argv70 on: catalog codes and pseudo-products over RS_SIZE_CAP words or
+        # RS_SYMBOL_CAP bits, refused before any word is built
+        ["construct", "complement", "--code", f"builtin:{name}"]
+        for name in ("full-40", "full-20", "parity-20", "rm1-12")
+    ]
+    + [
+        ["construct", "pseudo-product", "--cwc", "builtin:cwc-4-2-2", "--sys", f"builtin:{name}"]
+        for name in ("full-16", "full-8", "rep-524289")
+    ]
+    + [
+        # argv77: a catalog parameter of more than 9 digits names no code
+        ["construct", "complement", "--code", "builtin:full-" + "9" * 5000],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):

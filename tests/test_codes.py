@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,13 +22,20 @@ from mcwc.codes import (
     find_systematic_set,
     hamming_distance,
     indicator_words,
-    pack_words,
-    unpack_words,
     VerificationReport,
     verify_code,
     word_from_str,
-    word_to_str,
 )
+
+
+def word_to_str(word, length):
+    return format(word, f"0{length}b") if length else ""
+
+
+def row_ints(words, length):
+    """Packed rows as ints, coordinate j as bit length-1-j: the form the loop oracles read."""
+    bits = np.unpackbits(words, axis=1, count=length)
+    return [int("".join(map(str, row)) or "0", 2) for row in bits.tolist()]
 
 
 def word_blocks(word, profile):
@@ -79,19 +87,48 @@ def test_word_str_round_trip():
         word_from_str("")
 
 
-@pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 63, 64, 65, 130, 200])
 def test_pack_unpack_match_word_to_str(length):
-    import numpy as np
-
+    # ints -> code -> file -> code -> strings, in the order of the ints.
     rng = random.Random(length)
-    words = sorted({rng.getrandbits(length) for _ in range(20)} | {0, (1 << length) - 1})
-    bits = unpack_words(words, length)
-    assert bits.shape == (len(words), length) and bits.dtype == np.uint8
-    assert ["".join(map(str, row)) for row in bits.tolist()] == [word_to_str(w, length) for w in words]
-    assert pack_words(bits) == words and all(type(w) is int for w in pack_words(bits))
-    assert pack_words(bits.astype(bool)) == pack_words(bits.astype(np.intp)) == words
-    empty = unpack_words([], length)
-    assert empty.shape == (0, length) and pack_words(empty) == []
+    words = {rng.getrandbits(length) for _ in range(20)} | {0, (1 << length) - 1}
+    code = BinaryCode.from_words(list(words)[::-1], length, 1)
+    assert code.words.dtype == np.uint8 and code.words.shape == (len(words), -(-length // 8))
+    bits = np.unpackbits(code.words, axis=1)
+    assert not bits[:, length:].any()  # zero pad bits
+    strings = [word_to_str(w, length) for w in sorted(words)]
+    back = code
+    # The one word of length 0 is an empty line, which files skip as blank.
+    if length:
+        buf = io.StringIO()
+        code_write(buf, code)
+        back = code_read(io.StringIO(buf.getvalue()))
+        assert np.array_equal(back.words, code.words) and back.length == length
+        assert BinaryCode.from_words(strings[::-1]).word_strings() == strings
+    assert back.word_strings() == strings
+    assert row_ints(back.words, length) == sorted(words)
+    assert len(BinaryCode.from_words([], length).words) == 0
+
+
+def test_packed_rows_must_be_canonical():
+    for words, match in (
+        (np.array([[0b1100_0001]], dtype=np.uint8), "pad bits"),
+        (np.array([[0b1000_0000], [0b0100_0000]], dtype=np.uint8), "sorted"),
+        (np.array([[0b0100_0000], [0b0100_0000]], dtype=np.uint8), "duplicate word 01000"),
+        (np.array([[0b0100_0000]], dtype=np.uint16), "uint8"),
+        (np.array([[0, 0]], dtype=np.uint8), "uint8 array of 1 packed bytes"),
+        (np.array([0b0100_0000], dtype=np.uint8), "2-D"),
+    ):
+        with pytest.raises(CodeError, match=match):
+            BinaryCode(5, words)
+    with pytest.raises(CodeError, match="duplicate word"):
+        BinaryCode(0, np.zeros((2, 0), dtype=np.uint8))
+    for ints, length in (([-1], 3), ([8], 3), ([1], 0)):
+        with pytest.raises(CodeError, match="out of range"):
+            BinaryCode.from_words(ints, length)
+    # from_words sorts packed rows, as it sorts ints.
+    rows = np.array([[0b1000_0000], [0b0100_0000]], dtype=np.uint8)
+    assert BinaryCode.from_words(rows, 5).word_strings() == ["01000", "10000"]
 
 
 def test_profile_basics():
@@ -148,7 +185,7 @@ def test_verify_qary():
 def test_indicator_words_layout():
     # Position 0 is the leftmost q-bit chunk; symbol s sets bit q-1-s of it.
     code = QaryCode.from_words([(0, 1), (2, 0)], q=3)
-    assert indicator_words(code) == [0b100_010, 0b001_100]
+    assert row_ints(indicator_words(code), 6) == [0b100_010, 0b001_100]
 
 
 def _pairwise_oracle(words, claimed):
@@ -181,7 +218,7 @@ def reference_verify(code):
     """verify_code as a pairwise loop over Python words: the oracle for the numpy kernel."""
     violations = []
     if isinstance(code, BinaryCode) and code.profile is not None:
-        for wi, wd in enumerate(code.words):
+        for wi, wd in enumerate(row_ints(code.words, code.length)):
             for bi, (block, (_, want)) in enumerate(
                 zip(word_blocks(wd, code.profile), code.profile.parts)
             ):
@@ -189,7 +226,7 @@ def reference_verify(code):
                     violations.append((wi, bi, block.bit_count(), want))
 
     if isinstance(code, BinaryCode):
-        words, distance = code.words, lambda u, v: (u ^ v).bit_count()
+        words, distance = row_ints(code.words, code.length), lambda u, v: (u ^ v).bit_count()
     else:
         words, distance = code.words.tolist(), hamming_distance
     min_dist = math.inf
@@ -279,7 +316,7 @@ def test_verify_ties_keep_first_pair(monkeypatch):
 def test_verify_single_word_matches_reference():
     for code in (
         BinaryCode.from_words(["0110"], 4, 99),
-        BinaryCode(0, (0,), 1),
+        BinaryCode.from_words([0], 0, 1),
         BinaryCode.from_words([5], 200, 3, WeightProfile(((100, 1), (100, 1)))),
         QaryCode.from_words([(3, 1, 4)], q=64, claimed_distance=2),
     ):
@@ -371,7 +408,8 @@ def test_code_round_trip_binary():
     buf = io.StringIO()
     code_write(buf, code, extra_comments=["provenance: test"])
     back = code_read(io.StringIO(buf.getvalue()))
-    assert back == code
+    assert (back.length, back.claimed_distance, back.profile) == (8, 4, code.profile)
+    assert np.array_equal(back.words, code.words)
 
 
 def test_code_round_trip_qary():
@@ -389,7 +427,13 @@ def test_qary_code_over_gf2_is_written_as_binary():
     buf = io.StringIO()
     code_write(buf, code)
     assert buf.getvalue() == "# code q=2 len=3 d=2 profile=none\n011\n110\n"
-    assert code_read(io.StringIO(buf.getvalue())) == BinaryCode.from_words(["011", "110"], 3, 2)
+    back = code_read(io.StringIO(buf.getvalue()))
+    assert isinstance(back, BinaryCode) and back.word_strings() == ["011", "110"]
+    assert (back.length, back.claimed_distance, back.profile) == (3, 2, None)
+    # Read as symbols, the same file gives the q=2 code back.
+    back = code_read(io.StringIO(buf.getvalue()), symbols=True)
+    assert isinstance(back, QaryCode) and back.words.tolist() == code.words.tolist()
+    assert (back.q, back.length, back.claimed_distance) == (2, 3, 2)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """Construction tests; expected codes are expanded by hand or via independent checks."""
 
 import math
+import re
 from itertools import product
 
+import numpy as np
 import pytest
 
 import mcwc.codes as codes_mod
@@ -62,6 +64,44 @@ def test_builtin_parameters():
     assert sorted(lin.word_strings()) == ["000000", "001111", "110011", "111100"]
     with pytest.raises(CodeError):
         builtin_code("nope-1-2")
+
+
+def test_builtin_size_caps():
+    # Both sides of RS_SIZE_CAP (2^15 words) and RS_SYMBOL_CAP (2^23 bits),
+    # refused before any word is built.
+    for name, size, length in (("full-15", 2**15, 15), ("parity-16", 2**15, 16),
+                               ("rm1-11", 2**12, 2**11), ("rep-4194304", 2, 2**22)):
+        code = builtin_code(name)
+        assert (len(code.words), code.length) == (size, length), name
+    for name, message in (
+        ("full-16", "full-16 has 2^16 words, over the cap of 32768"),
+        ("parity-17", "parity-17 has 2^16 words, over the cap of 32768"),
+        ("rm1-12", "rm1-12 has 2^13 x 4096 = 33554432 bits, over the cap of 8388608"),
+        ("rep-4194305", "rep-4194305 has 2^1 x 4194305 = 8388610 bits, over the cap of 8388608"),
+        ("full-40", "full-40 has 2^40 words, over the cap of 32768"),
+        ("rm1-999999999", "rm1-999999999 has 2^1000000000 words, over the cap of 32768"),
+    ):
+        with pytest.raises(ConstructionError, match=re.escape(message)):
+            builtin_code(name)
+    # A parameter of 10 or more digits names no catalog code.
+    for name in ("full-1000000000", "rep-" + "9" * 5000):
+        with pytest.raises(CodeError, match="unknown builtin code"):
+            builtin_code(name)
+
+
+def test_pseudo_product_size_caps(monkeypatch):
+    cwc = builtin_code("cwc-4-2-2")
+    # 4 words of 4 x 524288 bits = RS_SYMBOL_CAP are built; one more row is refused.
+    assert pseudo_product(cwc, builtin_code("rep-524288")).size == 4
+    with pytest.raises(ConstructionError, match=re.escape("2^2 x 2097156 = 8388624 bits, over")):
+        pseudo_product(cwc, builtin_code("rep-524289"))
+    with pytest.raises(ConstructionError, match=re.escape("2^16 words, over the cap of 32768")):
+        pseudo_product(cwc, builtin_code("full-8"))
+    # 2^(2 k2) words: at a cap of 16 words, k2 = 2 is built and k2 = 3 refused.
+    monkeypatch.setattr(constructions_mod, "RS_SIZE_CAP", 16)
+    assert pseudo_product(cwc, builtin_code("full-2")).size == 16
+    with pytest.raises(ConstructionError, match=re.escape("2^6 words, over the cap of 16")):
+        pseudo_product(cwc, builtin_code("full-3"))
 
 
 # ---------- concatenation ----------
@@ -222,8 +262,9 @@ def test_qary_expand_bad_width():
 
 def test_qary_expand_words_are_indicator_words():
     code = QaryCode.from_words([(0, 1, 2), (2, 0, 1), (1, 1, 0)], q=3, claimed_distance=2)
-    assert qary_expand(code, 1).code.words == tuple(sorted(indicator_words(code)))
-    assert qary_expand(code, 3).code.words == tuple(sorted(indicator_words(code)))
+    for w in (1, 3):
+        expanded = qary_expand(code, w).code
+        assert np.array_equal(expanded.words, BinaryCode.from_words(indicator_words(code), 9).words)
 
 
 def test_qary_expand_indicator_cap(monkeypatch):

@@ -222,7 +222,7 @@ def test_ensemble_variance_matches_distance():
     s = 1e-3
     code = all_words_code(2, 4, 2)
     u_word, v_word = code.words[0], code.words[5]
-    dist = (u_word ^ v_word).bit_count()
+    dist = int(np.bitwise_count(u_word ^ v_word).sum())
     diffs = []
     for seed in range(4000):
         dev = device_new(2, 4, (1.0, 1.05), s_eps=s, seed=seed)
@@ -292,8 +292,8 @@ def test_device_load_rejects_bad_files(payload, tmp_path):
 
 def reference_sweep(dev, code, noise_sigma, trials, seed=0):
     """The single-threaded per-pair loop: all P streams spawned up front."""
-    words = code.words
-    matrices = [word_matrix(dev, code, wd) for wd in words]
+    words = [int(text, 2) for text in code.word_strings()]
+    matrices = [word_matrix(dev, code, wd) for wd in code.words]
     delays = [measure_delay(dev, mat) for mat in matrices]
 
     pair_list = list(combinations(range(len(words)), 2))
