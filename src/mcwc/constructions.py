@@ -43,13 +43,13 @@ class ConstructionError(ValueError):
     pass
 
 
-def check_code_size(what: str, log2_words: int, length: int) -> None:
-    """Refuse 2^log2_words words of `length` bits over RS_SIZE_CAP words or RS_SYMBOL_CAP bits."""
-    if log2_words >= RS_SIZE_CAP.bit_length() or 1 << log2_words > RS_SIZE_CAP:
-        raise ConstructionError(f"{what} has 2^{log2_words} words, over the cap of {RS_SIZE_CAP}")
-    if (bits := (1 << log2_words) * length) > RS_SYMBOL_CAP:
+def check_code_size(what: str, words: int, length: int) -> None:
+    """Refuse a code of more than RS_SIZE_CAP words or RS_SYMBOL_CAP symbols (words x length)."""
+    if words > RS_SIZE_CAP:  # a count past the cap may be huge: it is not printed
+        raise ConstructionError(f"{what} has a word count over the cap of {RS_SIZE_CAP}")
+    if words * length > RS_SYMBOL_CAP:
         raise ConstructionError(
-            f"{what} has 2^{log2_words} x {length} = {bits} bits, over the cap of {RS_SYMBOL_CAP}"
+            f"{what} has {words} x {length} = {words * length} symbols, over the cap of {RS_SYMBOL_CAP}"
         )
 
 
@@ -149,8 +149,8 @@ def pseudo_product(cwc: BinaryCode, sys: BinaryCode) -> ConstructionResult:
     col_weights, col_table = _systematic_encoder(sys, "systematic ingredient")
     k1, k2, m = len(row_weights), len(col_weights), sys.length
     guaranteed = cwc.claimed_distance * sys.claimed_distance
-    check_code_size("pseudo-product", k1 * k2, m * n)
     size = 1 << (k1 * k2)
+    check_code_size("pseudo-product", size, m * n)
 
     # Every choice of k1 information columns, each encoded through `sys`; then
     # each of the m rows, read as a k1-bit pattern, is encoded through `cwc`.
@@ -268,15 +268,7 @@ def reed_solomon(field: Field, length: int, d: int) -> QaryCode:
     if length > q + 1:
         raise ConstructionError(f"length {length} exceeds q+1 = {q + 1}")
     k = length - d + 1
-    if q**k > RS_SIZE_CAP:
-        raise ConstructionError(
-            f"RS({length},{k})_{q} has {q}^{k} = {q**k} words, over the cap of {RS_SIZE_CAP}"
-        )
-    if q**k * length > RS_SYMBOL_CAP:
-        raise ConstructionError(
-            f"RS({length},{k})_{q} has {q**k} x {length} = {q**k * length} symbols, "
-            f"over the cap of {RS_SYMBOL_CAP}"
-        )
+    check_code_size(f"RS({length},{k})_{q}", q**k, length)
     extended = length == q + 1
 
     # Row j holds the coefficient of x^j of every message, messages in
@@ -369,7 +361,8 @@ _FIXED_CATALOG = {
 }
 
 # (name pattern, (log2 of the word count, length), builder).  Parameters have at
-# most 9 digits, and rm1 lengths clip past the word cap, so sizes are cheap ints.
+# most 9 digits; word counts past 2^64 and rm1 lengths past 2^15 are clipped, as
+# the word cap refuses those codes anyway.
 _PARAM_CATALOG = (
     (re.compile(r"rep-(\d{1,9})$"), lambda n: (1, n),
      lambda n: BinaryCode.from_words(["0" * n, "1" * n], n, n)),
@@ -394,7 +387,8 @@ def builtin_code(name: str) -> BinaryCode:
             arg = int(match.group(1))
             if arg < 1:
                 break
-            check_code_size(f"builtin code {name}", *size(arg))
+            log2_words, length = size(arg)
+            check_code_size(f"builtin code {name}", 1 << min(log2_words, 64), length)
             return make(arg)
     raise CodeError(f"unknown builtin code {name!r}")
 

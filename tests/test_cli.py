@@ -471,6 +471,8 @@ PUF_SIM = ["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "10"]
     + [
         # argv77: a catalog parameter of more than 9 digits names no code
         ["construct", "complement", "--code", "builtin:full-" + "9" * 5000],
+        # argv78: 4096^4097 words, a count too long to print
+        ["construct", "rs", "--q", "4096", "--len", "4097", "--d", "1"],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
