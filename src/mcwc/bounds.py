@@ -428,10 +428,8 @@ class ReferenceStore:
         if old is not None:
             lowers = [x for x in (old.lower, row.lower) if x is not None]
             uppers = [x for x in (old.upper, row.upper) if x is not None]
-            row = ReferenceValue(
-                *key, max(lowers, default=None), min(uppers, default=None),
-                f"{old.source}+{row.source}",
-            )
+            row = ReferenceValue(*key, max(lowers, default=None), min(uppers, default=None),
+                                 f"{old.source}+{row.source}")
         self._rows[key] = row
 
     def cwc(self, n: int, d: int, w: int) -> ReferenceValue | None:

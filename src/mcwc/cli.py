@@ -142,7 +142,12 @@ def _resolve_binary(spec: str, inputs: list[str]) -> BinaryCode:
 def _resolve_qary(spec: str, inputs: list[str]) -> QaryCode:
     """A q-ary code file; a binary one with no profile is read as q=2 symbols."""
     inputs.append(spec)
-    code = code_read_path(spec, symbols=True)
+    code = code_read_path(spec)
+    if isinstance(code, BinaryCode) and code.profile is None:
+        import numpy as np
+
+        bits = np.unpackbits(code.words, axis=1, count=code.length)
+        code = QaryCode.from_words(bits, 2, code.length, code.claimed_distance)
     if not isinstance(code, QaryCode):
         raise CodeError(f"{spec} is not a q-ary code file")
     return code

@@ -92,10 +92,10 @@ def hamming_distance(u: Wordlike, v: Wordlike) -> int:
 # ---------- codes ----------
 
 def _row_keys(words):
-    """One bytes key per row of a 2-D unsigned array (a view for uint8): keys compare as rows do."""
+    """One bytes key per row of a 2-D unsigned array (a view for uint8): keys compare as rows do,
+    as big-endian bytes compare in the order of the values they hold."""
     import numpy as np
 
-    # Big-endian bytes compare in the order of the values they hold.
     big = np.ascontiguousarray(words, dtype=words.dtype.newbyteorder(">"))
     return big.view(np.dtype(("S", big.itemsize * big.shape[1]))).ravel()
 
@@ -156,25 +156,24 @@ class BinaryCode:
         "0101" strings, or the packed rows of a 2-D uint8 array."""
         import numpy as np
 
-        if isinstance(words, np.ndarray) and words.ndim == 2:
-            return cls(length, _sorted_rows(words), claimed_distance, profile)
-        ints = []
-        for wd in words:
-            if isinstance(wd, str):
-                length = len(wd) if length is None else length
-                if len(wd) != length:
-                    raise CodeError(f"word {wd!r} does not have length {length}")
-                wd = word_from_str(wd)
-            ints.append(int(wd))
-        if length is None:
-            raise CodeError("length required when words are not strings")
-        width, pad = -(-length // 8), -length % 8
-        try:
-            raw = b"".join((wd << pad).to_bytes(width, "big") for wd in ints)
-        except OverflowError as exc:
-            raise CodeError(f"a word is out of range for length {length}") from exc
-        rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(ints), width)
-        return cls(length, _sorted_rows(rows), claimed_distance, profile)
+        if not (isinstance(words, np.ndarray) and words.ndim == 2):
+            ints = []
+            for wd in words:
+                if isinstance(wd, str):
+                    length = len(wd) if length is None else length
+                    if len(wd) != length:
+                        raise CodeError(f"word {wd!r} does not have length {length}")
+                    wd = word_from_str(wd)
+                ints.append(int(wd))
+            if length is None:
+                raise CodeError("length required when words are not strings")
+            width, pad = -(-length // 8), -length % 8
+            try:
+                raw = b"".join((wd << pad).to_bytes(width, "big") for wd in ints)
+            except OverflowError as exc:
+                raise CodeError(f"a word is out of range for length {length}") from exc
+            words = np.frombuffer(raw, dtype=np.uint8).reshape(len(ints), width)
+        return cls(length, _sorted_rows(words), claimed_distance, profile)
 
     def word_strings(self) -> list[str]:
         return list(_word_strings(self.words, self.length))
@@ -367,10 +366,9 @@ def verify_code(code: Code) -> VerificationReport:
         want = [w_i for _, w_i in code.profile.parts]
         ends = np.cumsum([0] + [n_i for n_i, _ in code.profile.parts])
         got = np.empty((len(code.words), len(want)), dtype=np.int64)
-        for rows in _tiles(len(code.words), code.length):
-            bits = np.unpackbits(code.words[rows], axis=1, count=code.length)
-            ones = np.zeros((len(bits), code.length + 1), np.min_scalar_type(code.length))
-            np.cumsum(bits, axis=1, out=ones[:, 1:])  # ones[:, j]: ones before column j
+        for rows in _tiles(len(code.words), code.length):  # ones[:, j]: a word's ones before column j
+            bits = np.pad(np.unpackbits(code.words[rows], axis=1, count=code.length), ((0, 0), (1, 0)))
+            ones = np.cumsum(bits, axis=1, dtype=np.min_scalar_type(code.length))
             got[rows] = np.diff(ones[:, ends], axis=1)
         # nonzero lists the (word, block) entries in row-major order.
         bad_words, bad_blocks = np.nonzero(got != want)
@@ -441,9 +439,7 @@ def code_write(f: TextIO, code: Code, extra_comments: Sequence[str] = ()) -> Non
             f.write(sep.join(map(str, row.tolist())) + "\n")
 
 
-def code_read(f: TextIO, symbols: bool = False) -> Code:
-    """The code in a code file; with `symbols`, a q=2 file without a profile reads
-    as a QaryCode over {0, 1}, one symbol per binary digit."""
+def code_read(f: TextIO) -> Code:
     import numpy as np
 
     header = None
@@ -468,23 +464,20 @@ def code_read(f: TextIO, symbols: bool = False) -> Code:
             raise CodeError(f"malformed header field {chunk!r}")
         fields[key] = val
     try:
-        q = int(fields["q"])
-        length = int(fields["len"])
-        d = int(fields["d"])
+        q, length, d = (int(fields[key]) for key in ("q", "len", "d"))
     except (KeyError, ValueError) as exc:
         raise CodeError(f"malformed header {header!r}") from exc
     if length < 0:
         raise CodeError(f"malformed header {header!r}")
-    profile = None
-    if fields.get("profile", "none") != "none":
-        profile = WeightProfile.parse(fields["profile"])
+    profile = fields.get("profile", "none")
+    profile = None if profile == "none" else WeightProfile.parse(profile)
 
-    if q == 2 and (profile is not None or not symbols):
+    if q == 2:
         return BinaryCode.from_words(body, length, d, profile)
     words = np.empty((len(body), length), dtype=_symbol_dtype(q))
     for i, line in enumerate(body):
         try:
-            row = np.array(list(line) if q == 2 else line.split(","), dtype=np.uint64)
+            row = np.array(line.split(","), dtype=np.uint64)
         except (ValueError, OverflowError) as exc:
             raise CodeError(f"bad symbol line {line!r}") from exc
         if len(row) != length or row.max() >= q:
@@ -493,6 +486,6 @@ def code_read(f: TextIO, symbols: bool = False) -> Code:
     return QaryCode.from_words(words, q, length, d)
 
 
-def code_read_path(path, symbols: bool = False) -> Code:
+def code_read_path(path) -> Code:
     with open(path) as f:
-        return code_read(f, symbols)
+        return code_read(f)

@@ -48,9 +48,8 @@ def check_code_size(what: str, words: int, length: int) -> None:
     if words > RS_SIZE_CAP:  # a count past the cap may be huge: it is not printed
         raise ConstructionError(f"{what} has a word count over the cap of {RS_SIZE_CAP}")
     if words * length > RS_SYMBOL_CAP:
-        raise ConstructionError(
-            f"{what} has {words} x {length} = {words * length} symbols, over the cap of {RS_SYMBOL_CAP}"
-        )
+        raise ConstructionError(f"{what} has {words} x {length} = {words * length} symbols, "
+                                f"over the cap of {RS_SYMBOL_CAP}")
 
 
 @dataclass(frozen=True)
@@ -360,17 +359,16 @@ _FIXED_CATALOG = {
     ),
 }
 
-# (name pattern, (log2 of the word count, length), builder).  Parameters have at
-# most 9 digits; word counts past 2^64 and rm1 lengths past 2^15 are clipped, as
-# the word cap refuses those codes anyway.
+# (name pattern, (word count, length), builder).  Parameters have at most 7
+# digits: every code with a longer one is over RS_SIZE_CAP or RS_SYMBOL_CAP.
 _PARAM_CATALOG = (
-    (re.compile(r"rep-(\d{1,9})$"), lambda n: (1, n),
+    (re.compile(r"rep-(\d{1,7})$"), lambda n: (2, n),
      lambda n: BinaryCode.from_words(["0" * n, "1" * n], n, n)),
-    (re.compile(r"parity-(\d{1,9})$"), lambda n: (n - 1, n),
+    (re.compile(r"parity-(\d{1,7})$"), lambda n: (1 << (n - 1), n),
      lambda n: BinaryCode.from_words([x for x in range(1 << n) if x.bit_count() % 2 == 0], n, 2)),
-    (re.compile(r"full-(\d{1,9})$"), lambda n: (n, n),
+    (re.compile(r"full-(\d{1,7})$"), lambda n: (1 << n, n),
      lambda n: BinaryCode.from_words(range(1 << n), n, 1)),
-    (re.compile(r"rm1-(\d{1,9})$"), lambda r: (r + 1, 1 << min(r, 15)), _rm1),
+    (re.compile(r"rm1-(\d{1,7})$"), lambda r: (2 << r, 1 << r), _rm1),
 )
 
 _ALIASES = {"lin-4-3-2": "rm1-2", "lin-8-4-4": "rm1-3"}
@@ -387,8 +385,7 @@ def builtin_code(name: str) -> BinaryCode:
             arg = int(match.group(1))
             if arg < 1:
                 break
-            log2_words, length = size(arg)
-            check_code_size(f"builtin code {name}", 1 << min(log2_words, 64), length)
+            check_code_size(f"builtin code {name}", *size(arg))
             return make(arg)
     raise CodeError(f"unknown builtin code {name!r}")
 
@@ -428,6 +425,6 @@ def systematic_cwc_pool(n: int, w: int) -> list[BinaryCode]:
         base = _FIXED_CATALOG[base_name]()
         bn, bw = base.profile.parts[0]
         k = w - bw
-        if k >= 0 and n == bn + 2 * k and len(base.words) >= (1 << k) and (1 << k) <= CONSTRUCTION_SIZE_CAP:
+        if k >= 0 and n == bn + 2 * k and len(base.words) >= (1 << k):
             out.append(append_extend(k, base).code)
     return out

@@ -162,9 +162,12 @@ def design_to_mcwc(design: ResolvableDesign) -> ConstructionResult:
     m = v // k
     guaranteed = 2 * (k - t + 1) * m
 
-    points = np.arange(v)  # row r of a class's word marks the points of its block r
-    words = pack_tiles(len(design.classes), m * v,
-                       lambda rows: (np.array(design.classes[rows])[..., None] == points).any(axis=2))
+    def tile(rows):  # row r of a class's word marks the points of its block r
+        bits = np.zeros((rows.stop - rows.start, m, v), dtype=np.uint8)
+        np.put_along_axis(bits, np.array(design.classes[rows], dtype=np.intp), 1, axis=2)
+        return bits
+
+    words = pack_tiles(len(design.classes), m * v, tile)
     profile = WeightProfile.homogeneous(m, v, k)
     prov = f"design({t}-({v},{k},1) resolvable, {len(design.classes)} classes)"
     return _finish(words, m * v, guaranteed, profile, prov, len(design.classes))

@@ -469,7 +469,7 @@ PUF_SIM = ["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "10"]
         for name in ("full-16", "full-8", "rep-524289")
     ]
     + [
-        # argv77: a catalog parameter of more than 9 digits names no code
+        # argv77: a catalog parameter of more than 7 digits names no code
         ["construct", "complement", "--code", "builtin:full-" + "9" * 5000],
         # argv78: 4096^4097 words, a count too long to print
         ["construct", "rs", "--q", "4096", "--len", "4097", "--d", "1"],
@@ -616,6 +616,19 @@ def test_defaults_filled_before_manifest(argv, defaults, tmp_path, capsys):
         assert status == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_profileless_binary_file_reads_as_q2_symbols(tmp_path, capsys):
+    # A q=2 file without a profile is a q-ary code over {0, 1}, one symbol per digit.
+    outer = tmp_path / "outer.txt"
+    outer.write_text("# code q=2 len=3 d=2 profile=none\n011\n110\n")
+    out = tmp_path / "exp.txt"
+    status, stdout, _ = run(
+        ["construct", "qary-expand", "--code", str(outer), "--w", "1", "--out", str(out)], capsys
+    )
+    assert status == 0 and "size=2" in stdout
+    # Symbol s sets column s of its 2-bit block: 0 -> 10, 1 -> 01.
+    assert code_read_path(out).word_strings() == ["010110", "100101"]
 
 
 def test_loaded_device_manifest_has_no_model_values(tmp_path, capsys):

@@ -430,10 +430,6 @@ def test_qary_code_over_gf2_is_written_as_binary():
     back = code_read(io.StringIO(buf.getvalue()))
     assert isinstance(back, BinaryCode) and back.word_strings() == ["011", "110"]
     assert (back.length, back.claimed_distance, back.profile) == (3, 2, None)
-    # Read as symbols, the same file gives the q=2 code back.
-    back = code_read(io.StringIO(buf.getvalue()), symbols=True)
-    assert isinstance(back, QaryCode) and back.words.tolist() == code.words.tolist()
-    assert (back.q, back.length, back.claimed_distance) == (2, 3, 2)
 
 
 @pytest.mark.parametrize(

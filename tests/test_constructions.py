@@ -79,12 +79,12 @@ def test_builtin_size_caps():
         ("rm1-12", "rm1-12 has 8192 x 4096 = 33554432 symbols, over the cap of 8388608"),
         ("rep-4194305", "rep-4194305 has 2 x 4194305 = 8388610 symbols, over the cap of 8388608"),
         ("full-40", "full-40 has a word count over the cap of 32768"),
-        ("rm1-999999999", "rm1-999999999 has a word count over the cap of 32768"),
+        ("rm1-9999999", "rm1-9999999 has a word count over the cap of 32768"),
     ):
         with pytest.raises(ConstructionError, match=re.escape(message)):
             builtin_code(name)
-    # A parameter of 10 or more digits names no catalog code.
-    for name in ("full-1000000000", "rep-" + "9" * 5000):
+    # A parameter of 8 or more digits names no catalog code.
+    for name in ("full-10000000", "rep-10000000", "rep-" + "9" * 5000):
         with pytest.raises(CodeError, match="unknown builtin code"):
             builtin_code(name)
 

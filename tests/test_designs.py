@@ -1,11 +1,13 @@
 """Design generation, invariant verification, conversion and file round trips."""
 
 import io
+import tracemalloc
 from itertools import combinations
 from math import comb
 
 import pytest
 
+import mcwc.codes as codes_mod
 import mcwc.designs as designs_mod
 from mcwc.codes import WeightProfile, verify_code
 from mcwc.designs import (
@@ -248,3 +250,19 @@ def test_coverage_cap(monkeypatch):
     for refused in (lambda: affine_plane(3), lambda: verify_design(design)):
         with pytest.raises(DesignError, match="36 2-subsets, over the cap of 35"):
             refused()
+
+
+def test_design_to_mcwc_memory_stays_near_tile_bytes():
+    # A 1-(v, v, 1) design is one class of one block: one word of weight v.
+    # Building it must not compare every block point against every point.
+    v = 1 << 14
+    design = ResolvableDesign(v, v, 1, ((tuple(range(v)),),))
+    design_to_mcwc(ResolvableDesign(4, 4, 1, ((tuple(range(4)),),)))  # numpy imported first
+    tracemalloc.start()
+    try:
+        result = design_to_mcwc(design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.size == 1 and result.code.word_strings() == ["1" * v]
+    assert peak < 16 * codes_mod.TILE_BYTES
