@@ -7,6 +7,14 @@ coloring walks candidates in that fixed order.  It runs as a loop over an
 explicit stack of branch frames, so graph size is not limited by the
 interpreter's recursion limit and no global interpreter state is touched.
 
+Inside ``max_clique`` the vertex at position i of the degree order sits at bit
+V-1-i, so the next vertex to colour is the highest set bit of the candidate
+mask.  ``int.bit_length()`` finds it in O(1), as CPython reads only the top
+digit, where isolating the lowest bit (``x & -x``) costs two big-int
+operations that each allocate and walk every digit.  With each vertex's bit
+and the mask of its non-neighbours (itself excluded) precomputed, one coloured
+vertex costs two big-int operations.  Callers never see this numbering.
+
 The result records why the search stopped:
 
 * ``done`` -- the tree was exhausted; the clique is maximum.
@@ -95,9 +103,10 @@ def max_clique(
         return CliqueResult(0, (), "done", 0)
 
     # Relabel by non-increasing degree; better coloring bounds come first.
+    # Position i of that order is vertex i here, held at bit n-1-i.
     order = sorted(range(n), key=lambda v: (-adjacency[v].bit_count(), v))
     pos = {v: i for i, v in enumerate(order)}
-    adj = _relabel(adjacency, order)
+    adj = _relabel(adjacency, order[::-1])[::-1]
 
     seed = _greedy_clique(adjacency, order)
     best = len(seed)
@@ -110,15 +119,21 @@ def max_clique(
     if best >= target:
         return result("target", 0)
 
-    # vertex_of[(1 << v).bit_length()] is v.  Frames hold many vertex ids, and
-    # sharing one int object per vertex (ints above 256 are not cached) halves
-    # the search's memory.
-    vertex_of = list(range(-1, n))
+    # vertex_at[x.bit_length()] is the vertex at the top bit of x.  Frames hold
+    # many vertex ids, and sharing one int object per vertex (ints above 256
+    # are not cached) halves the search's memory.  excl[v] holds every vertex
+    # but v and its neighbours.  It is kept non-negative: CPython copies a
+    # negative int to two's complement on every AND, which made the search
+    # 14% slower on the budget-limited (2,6..7,4..6,3) cells.
+    vertex_at = list(range(n, -1, -1))
+    bit = [1 << (n - 1 - v) for v in range(n)]
+    full = (1 << n) - 1
+    excl = [full ^ (row | b) for row, b in zip(adj, bit)]
 
     def color_sort(cand: int) -> tuple[list[int], list[int]]:
         """Greedy coloring of the candidate set; returns vertices and their color counts.
 
-        Vertices come out grouped by color class, so colors[i] (the number of
+        Vertices come out grouped by color class, so bounds[i] (the number of
         classes used up to and including vertex i) is an upper bound on any
         clique inside the candidates up to that point.
         """
@@ -129,13 +144,11 @@ def max_clique(
             color += 1
             available = cand
             while available:
-                low = available & -available
-                v = vertex_of[low.bit_length()]
+                v = vertex_at[available.bit_length()]
                 vertices.append(v)
                 bounds.append(color)
-                available &= ~adj[v]
-                cand ^= low
-                available &= cand
+                available &= excl[v]
+                cand ^= bit[v]
         return vertices, bounds
 
     # One branch frame per clique vertex: the parent's candidate set, its
@@ -175,5 +188,5 @@ def max_clique(
             v = clique.pop()
         else:
             return result("done", nodes)
-        cand &= ~(1 << v)
+        cand ^= bit[v]
         i -= 1

@@ -163,7 +163,7 @@ class BinaryCode:
                     length = len(wd) if length is None else length
                     if len(wd) != length:
                         raise CodeError(f"word {wd!r} does not have length {length}")
-                    wd = word_from_str(wd)
+                    wd = word_from_str(wd) if wd else 0
                 ints.append(int(wd))
             if length is None:
                 raise CodeError("length required when words are not strings")
@@ -446,14 +446,12 @@ def code_read(f: TextIO) -> Code:
     body: list[str] = []
     for raw in f:
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             stripped = line[1:].strip()
             if stripped.startswith("code ") and header is None:
                 header = stripped[5:]
-            continue
-        body.append(line)
+        elif line or header is not None:
+            body.append(line)
     if header is None:
         raise CodeError("missing '# code ...' header line")
 
@@ -471,6 +469,9 @@ def code_read(f: TextIO) -> Code:
         raise CodeError(f"malformed header {header!r}")
     profile = fields.get("profile", "none")
     profile = None if profile == "none" else WeightProfile.parse(profile)
+    if length:
+        # Blank lines are padding, but each one is the empty word of a length-0 code.
+        body = [line for line in body if line]
 
     if q == 2:
         return BinaryCode.from_words(body, length, d, profile)

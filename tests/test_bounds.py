@@ -429,9 +429,17 @@ def test_exact_search_budget_downgrade():
 )
 def test_budget_exhausted_incumbents(cell, incumbent):
     # The vertex order and branch order decide these budget-limited values.
-    rec = exact_search(*cell, node_budget=20_000)
-    assert rec.kind == "lower" and "incomplete" in rec.provenance
-    assert rec.value == incumbent
+    rec, witness = exact_search(*cell, node_budget=20_000, with_witness=True)
+    assert rec.kind == "lower" and rec.value == incumbent
+    assert rec.provenance == "clique-search[incomplete, node budget 20000 exhausted]"
+    assert len(witness.words) == incumbent and verify_code(witness).passed
+
+
+def test_search_meets_upper_bound_at_pinned_node_count():
+    rec, witness = exact_search(2, 6, 4, 2, node_budget=20_000, upper=45, with_witness=True)
+    assert (rec.kind, rec.value) == ("lower", 45)
+    assert rec.provenance == "clique-search[met upper bound, nodes=1181]"
+    assert len(witness.words) == 45 and verify_code(witness).passed
 
 
 def test_exact_search_stops_at_upper_bound():
