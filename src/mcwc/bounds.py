@@ -549,17 +549,20 @@ def _construction_candidates(m: int, n: int, w: int) -> tuple[tuple[int, int, st
         results.append(designs_mod.design_to_mcwc(designs_mod.affine_plane(m)))
     if w == 2 and n == 2 * m and n >= 4:
         results.append(designs_mod.design_to_mcwc(designs_mod.one_factorization(n)))
+    built = set()  # ingredient distances and sizes fix a record: the first success stands
     pool = systematic_cwc_pool(n, w)
     for cwc in pool:
         k1 = len(cwc.words).bit_length() - 1
         for sysc in systematic_binary_pool(m):
             k2 = len(sysc.words).bit_length() - 1
-            if k1 * k2 <= 0 or (1 << (k1 * k2)) > CONSTRUCTION_SIZE_CAP:
+            key = (cwc.claimed_distance, k1, sysc.claimed_distance, k2)
+            if k1 * k2 <= 0 or (1 << (k1 * k2)) > CONSTRUCTION_SIZE_CAP or key in built:
                 continue
             try:
                 results.append(pseudo_product(cwc, sysc))
             except ConstructionError:
                 continue
+            built.add(key)
     for inner in pool:
         q = max(
             (x for x in range(2, len(inner.words) + 1) if prime_power(x) is not None),
@@ -569,8 +572,10 @@ def _construction_candidates(m: int, n: int, w: int) -> tuple[tuple[int, int, st
             continue
         field = field_for_order(q)
         for d2 in range(1, m + 1):
-            if q ** (m - d2 + 1) <= CONSTRUCTION_SIZE_CAP:
+            key = (q, d2, inner.claimed_distance)
+            if q ** (m - d2 + 1) <= CONSTRUCTION_SIZE_CAP and key not in built:
                 results.append(concatenate(reed_solomon(field, m, d2), inner))
+                built.add(key)
     return tuple((r.size, r.guaranteed_distance, r.provenance) for r in results)
 
 

@@ -68,7 +68,9 @@ def _finish(
     words, length, guaranteed, profile, provenance, expected_size, ingredients=()
 ) -> ConstructionResult:
     """Verify the built code; `ingredients` are (label, code) pairs blamed on failure."""
-    code = BinaryCode.from_words(words, length, guaranteed, profile)
+    if words.shape[1]:  # sort the construction's own rows in place: one copy of the code
+        words.view(f"S{words.shape[1]}").sort(axis=0)
+    code = BinaryCode(length, words, guaranteed, profile)
     if len(code.words) != expected_size:
         raise AssertionError(
             f"{provenance}: built {len(code.words)} words, expected {expected_size}"

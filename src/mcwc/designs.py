@@ -8,9 +8,9 @@ Externally found designs can be loaded from file and verified before use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
-from typing import Sequence, TextIO
+from typing import TextIO
 
 from .codes import WeightProfile, pack_tiles
 from .constructions import ConstructionResult, _finish
@@ -21,33 +21,44 @@ class DesignError(ValueError):
     pass
 
 
-Block = tuple[int, ...]
-ParallelClass = tuple[Block, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolvableDesign:
     """A resolvable t-(v, k, 1) design given as parallel classes of blocks.
 
-    Canonical form: points are 0..v-1, blocks are sorted tuples, blocks within
-    a class are sorted, classes are sorted lexicographically.
+    classes is a read-only int64 array of shape (class count, v / k, k), made
+    from any integer array or nested sequences of that shape, in canonical
+    order: points within a block, blocks within a class, and classes sorted.
     """
 
     v: int
     k: int
     t: int
-    classes: tuple[ParallelClass, ...]
+    classes: object  # numpy array of shape (class count, v / k, k)
+
+    def __post_init__(self):
+        import numpy as np  # imported on first use, as in mcwc.clique
+
+        v, k, t = self.v, self.k, self.t
+        if t < 1 or k < t or v < k or v % k:
+            raise DesignError(f"inconsistent parameters v={v} k={k} t={t}")
+        blocks = v // k
+        try:  # ragged classes, and points that are not integers or past int64, fail too
+            classes = np.asarray(self.classes) if len(self.classes) else np.empty((0, blocks, k), int)
+            classes = np.sort(classes.astype(np.int64, casting="safe", copy=False), axis=2)
+            if classes.shape[1:] != (blocks, k):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise DesignError(f"classes are not arrays of {blocks} blocks of {k} integer points") from None
+        if len(classes):  # blocks in order within each class, then the classes in order
+            order = np.lexsort(classes.transpose(2, 0, 1)[::-1], axis=-1)
+            classes = np.take_along_axis(classes, order[..., None], axis=1)
+            classes = classes[np.lexsort(classes.reshape(len(classes), -1).T[::-1])]
+        classes.flags.writeable = False
+        object.__setattr__(self, "classes", classes)
 
     def expected_class_count(self) -> int:
         """k*C(v,t) / (v*C(k,t)) -- the class count of a full resolvable design."""
         return self.k * comb(self.v, self.t) // (self.v * comb(self.k, self.t))
-
-
-def canonical_classes(classes: Sequence[Sequence[Sequence[int]]]) -> tuple[ParallelClass, ...]:
-    normalized = [
-        tuple(sorted(tuple(sorted(block)) for block in cls)) for cls in classes
-    ]
-    return tuple(sorted(normalized))
 
 
 # Most t-subset coverage entries (blocks x C(k, t)) a design may ask to count.
@@ -73,41 +84,34 @@ def verify_design(design: ResolvableDesign, *, require_complete: bool = True) ->
     drives the code distance survives, and downstream bounds then reflect the
     ingested object's actual class count rather than the full-design formula.
 
-    Distinct blocks share at most t-1 points, which is what drives the code
-    distance, and needs no pairwise pass: two blocks sharing t points would
-    cover one t-subset twice, which the coverage check refuses in both modes.
-    Only covered t-subsets are counted, after check_coverage; the error names
-    the lexicographically first t-subset that fails.
+    The sorted points of each class must be 0..v-1.  Distinct blocks then
+    share at most t-1 points, which drives the code distance, unless a
+    t-subset is covered twice, which is refused in both modes.  After
+    check_coverage the t-subsets of all blocks are sorted once; the error
+    names the lexicographically first t-subset that fails.
     """
-    v, k, t = design.v, design.k, design.t
-    if t < 1 or k < t or v < k or v % k:
-        raise DesignError(f"inconsistent parameters v={v} k={k} t={t}")
-    points = set(range(v))
-    for ci, cls in enumerate(design.classes):
-        if len(cls) != v // k:
-            raise DesignError(f"class {ci} has {len(cls)} blocks, expected {v // k}")
-        covered: set[int] = set()
-        for block in cls:
-            if len(block) != k or len(set(block)) != k:
-                raise DesignError(f"block {block} in class {ci} is not a {k}-subset")
-            covered.update(block)
-        if covered != points:
-            raise DesignError(f"class {ci} does not partition the point set")
+    import numpy as np
 
-    check_coverage(len(design.classes) * (v // k), k, t)
-    coverage: dict[tuple[int, ...], int] = {}
-    for cls in design.classes:
-        for block in cls:
-            for sub in combinations(sorted(block), t):
-                coverage[sub] = coverage.get(sub, 0) + 1
-    bad = [sub for sub, count in coverage.items() if count > 1]
-    if require_complete and len(coverage) < comb(v, t):
-        # Every t-subset before the first uncovered one is covered, so this
-        # scan takes at most len(coverage) + 1 steps.
-        bad.append(next(sub for sub in combinations(range(v), t) if sub not in coverage))
+    v, k, t, classes = design.v, design.k, design.t, design.classes
+    subsets = np.empty((0, t), dtype=np.int64)
+    if len(classes):
+        wrong = (np.sort(classes.reshape(len(classes), v), axis=1) != np.arange(v)).any(axis=1)
+        if wrong.any():
+            raise DesignError(f"class {wrong.argmax()} does not partition the point set")
+        check_coverage(len(classes) * (v // k), k, t)
+        subsets = classes.reshape(-1, k)[:, list(combinations(range(k), t))].reshape(-1, t)
+        subsets = subsets[np.lexsort(subsets.T[::-1])]
+    repeats = np.flatnonzero((subsets[1:] == subsets[:-1]).all(axis=1)) + 1  # each as the row before
+    first = subsets[repeats[:1]]  # the first repeated t-subset, if any, and its count
+    bad = [(tuple(sub.tolist()), int((subsets == sub).all(axis=1).sum())) for sub in first]
+    covered = np.delete(subsets, repeats, axis=0)
+    if require_complete and len(covered) < comb(v, t):
+        # At most len(covered) + 1 steps: all t-subsets before the first uncovered one are covered.
+        covered = chain(map(tuple, covered.tolist()), [None])
+        bad.append((next(sub for sub, got in zip(combinations(range(v), t), covered) if sub != got), 0))
     if bad:
-        sub = min(bad)
-        raise DesignError(f"{t}-subset {sub} covered {coverage.get(sub, 0)} times")
+        sub, count = min(bad)
+        raise DesignError(f"{t}-subset {sub} covered {count} times")
 
 
 def affine_plane(q: int) -> ResolvableDesign:
@@ -116,7 +120,7 @@ def affine_plane(q: int) -> ResolvableDesign:
     Points are pairs (x, y) over GF(q), numbered x*q + y; there is one parallel
     class of lines per slope plus the vertical class, q+1 classes in total.
     """
-    import numpy as np  # imported on first use, as in mcwc.clique
+    import numpy as np
 
     field = field_for_order(q)
     check_coverage(q * (q + 1), q, 2)
@@ -124,25 +128,22 @@ def affine_plane(q: int) -> ResolvableDesign:
     a, b, x = np.ix_(points, points, points)  # slope, intercept, abscissa
     lines = x * q + field.add(field.mul(a, x), b)  # class a, line y = a*x + b
     vertical = points[:, None] * q + points  # one class: line x = c
-    classes = lines.tolist() + [vertical.tolist()]
-
-    design = ResolvableDesign(q * q, q, 2, canonical_classes(classes))
+    design = ResolvableDesign(q * q, q, 2, np.concatenate([lines, vertical[None]]))
     verify_design(design)
     return design
 
 
 def one_factorization(v: int) -> ResolvableDesign:
     """Circle-method one-factorization of K_v: a resolvable 2-(v, 2, 1) design."""
+    import numpy as np
+
     if v < 2 or v % 2:
         raise DesignError(f"need an even number of points, got {v}")
     check_coverage(v * (v - 1) // 2, 2, 2)
-    classes = []
-    for r in range(v - 1):
-        cls = [[v - 1, r]]
-        for i in range(1, v // 2):
-            cls.append([(r + i) % (v - 1), (r - i) % (v - 1)])
-        classes.append(cls)
-    design = ResolvableDesign(v, 2, 2, canonical_classes(classes))
+    # Block i of class r pairs r - i with r + i (mod v - 1), or with point v - 1 when i = 0.
+    r, i = np.ix_(np.arange(v - 1), np.arange(v // 2))
+    ends = np.where(i == 0, v - 1, (r + i) % (v - 1)), (r - i) % (v - 1)
+    design = ResolvableDesign(v, 2, 2, np.stack(ends, axis=2))
     verify_design(design)
     return design
 
@@ -164,7 +165,7 @@ def design_to_mcwc(design: ResolvableDesign) -> ConstructionResult:
 
     def tile(rows):  # row r of a class's word marks the points of its block r
         bits = np.zeros((rows.stop - rows.start, m, v), dtype=np.uint8)
-        np.put_along_axis(bits, np.array(design.classes[rows], dtype=np.intp), 1, axis=2)
+        np.put_along_axis(bits, design.classes[rows], 1, axis=2)
         return bits
 
     words = pack_tiles(len(design.classes), m * v, tile)
@@ -178,27 +179,20 @@ def design_to_mcwc(design: ResolvableDesign) -> ConstructionResult:
 #   # design v=<v> k=<k> t=<t>
 #   one parallel class per line, blocks separated by '|', points by ','
 
-def design_write(f: TextIO, design: ResolvableDesign, extra_comments: Sequence[str] = ()) -> None:
-    for line in extra_comments:
-        f.write(f"# {line}\n")
-    f.write(f"# design v={design.v} k={design.k} t={design.t}\n")
-    for cls in design.classes:
-        f.write("|".join(",".join(str(p) for p in block) for block in cls) + "\n")
+def design_write(f: TextIO, design: ResolvableDesign) -> None:
+    v, k = design.v, design.k
+    f.write(f"# design v={v} k={k} t={design.t}\n")
+    line = "|".join([",".join(["%d"] * k)] * (v // k)) + "\n"
+    f.write(line * len(design.classes) % tuple(design.classes.ravel().tolist()))
 
 
 def design_read(f: TextIO) -> ResolvableDesign:
-    header = None
-    rows = []
-    for raw in f:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            stripped = line[1:].strip()
-            if stripped.startswith("design ") and header is None:
-                header = stripped[7:]
-            continue
-        rows.append(line)
+    import numpy as np
+
+    lines = [raw.strip() for raw in f]
+    rows = [line for line in lines if line and not line.startswith("#")]
+    comments = [line[1:].strip() for line in lines if line.startswith("#")]
+    header = next((text[7:] for text in comments if text.startswith("design ")), None)
     if header is None:
         raise DesignError("missing '# design ...' header line")
     try:
@@ -207,14 +201,12 @@ def design_read(f: TextIO) -> ResolvableDesign:
     except (KeyError, ValueError) as exc:
         raise DesignError(f"malformed header {header!r}") from exc
     classes = []
-    for line in rows:
+    for line in rows:  # each line one (blocks, points) array; ragged ones are refused
         try:
-            classes.append(
-                [[int(p) for p in block.split(",")] for block in line.split("|")]
-            )
-        except ValueError as exc:
+            classes.append(np.array([block.split(",") for block in line.split("|")], dtype=np.int64))
+        except (ValueError, OverflowError) as exc:
             raise DesignError(f"bad class line {line!r}") from exc
-    return ResolvableDesign(v, k, t, canonical_classes(classes))
+    return ResolvableDesign(v, k, t, classes)
 
 
 def design_read_path(path) -> ResolvableDesign:

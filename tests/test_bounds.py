@@ -603,7 +603,6 @@ PINNED_RECORDS = {
         ('exact', 2, 'power-exact[q=2, s=1; witness rs-expand(q=2, len=3, d=3, w=3)]'),
         ('lower', 1, 'single word'),
         ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(1,1)^2^1)'),
-        ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(1,1)^2^1)'),
         ('lower', 2, 'concatenation(outer=(1,1)_2, inner=cwc(6,6,3))'),
     ],
     # RS lower, s > m
@@ -613,10 +612,7 @@ PINNED_RECORDS = {
         ('lower', 1, 'single word'),
         ('lower', 4, 'rs-expand(q=2, len=3, d=2, w=3)'),
         ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(1,1)^2^1)'),
-        ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(1,1)^2^1)'),
         ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^2 x sys(1,1)^2^1)'),
-        ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^2 x sys(1,1)^2^1)'),
-        ('lower', 2, 'pseudo-product(cwc(6,4,3)^2^1 x sys(1,1)^2^1)'),
         ('lower', 2, 'pseudo-product(cwc(6,4,3)^2^1 x sys(1,1)^2^1)'),
         ('lower', 2, 'concatenation(outer=(1,1)_2, inner=cwc(6,6,3))'),
         ('lower', 4, 'concatenation(outer=(1,1)_4, inner=cwc(6,4,3))'),
@@ -634,7 +630,6 @@ PINNED_RECORDS = {
         ('upper', 3, 'johnson-general[average-intersection closed form]'),
         ('lower', 1, 'single word'),
         ('lower', 2, 'pseudo-product(cwc(8,8,4)^2^1 x sys(1,1)^2^1)'),
-        ('lower', 2, 'pseudo-product(cwc(8,8,4)^2^1 x sys(1,1)^2^1)'),
         ('lower', 2, 'concatenation(outer=(1,1)_2, inner=cwc(8,8,4))'),
     ],
     # concatenation
@@ -642,7 +637,6 @@ PINNED_RECORDS = {
         ('upper', 200, 'johnson-general[shrink-weight block 0]'),
         ('lower', 1, 'single word'),
         ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(4,4)^2^1)'),
-        ('lower', 8, 'pseudo-product(cwc(6,6,3)^2^1 x sys(4,2)^2^3)'),
         ('lower', 8, 'pseudo-product(cwc(6,6,3)^2^1 x sys(4,2)^2^3)'),
         ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^2 x sys(4,4)^2^1)'),
         ('lower', 2, 'pseudo-product(cwc(6,4,3)^2^1 x sys(4,4)^2^1)'),
@@ -655,15 +649,9 @@ PINNED_RECORDS = {
         ('upper', 14, 'constant-weight embedding[A(8,4,4)<=14, exhaustive-search]'),
         ('lower', 1, 'single word'),
         ('lower', 2, 'pseudo-product(cwc(8,8,4)^2^1 x sys(1,1)^2^1)'),
-        ('lower', 2, 'pseudo-product(cwc(8,8,4)^2^1 x sys(1,1)^2^1)'),
         ('lower', 8, 'pseudo-product(cwc(8,4,4)^2^3 x sys(1,1)^2^1)'),
-        ('lower', 8, 'pseudo-product(cwc(8,4,4)^2^3 x sys(1,1)^2^1)'),
-        ('lower', 8, 'pseudo-product(cwc(8,4,4)^2^3 x sys(1,1)^2^1)'),
-        ('lower', 8, 'pseudo-product(cwc(8,4,4)^2^3 x sys(1,1)^2^1)'),
-        ('lower', 4, 'pseudo-product(cwc(8,4,4)^2^2 x sys(1,1)^2^1)'),
         ('lower', 4, 'pseudo-product(cwc(8,4,4)^2^2 x sys(1,1)^2^1)'),
         ('lower', 2, 'concatenation(outer=(1,1)_2, inner=cwc(8,8,4))'),
-        ('lower', 8, 'concatenation(outer=(1,1)_8, inner=cwc(8,4,4))'),
         ('lower', 8, 'concatenation(outer=(1,1)_8, inner=cwc(8,4,4))'),
         ('lower', 4, 'concatenation(outer=(1,1)_4, inner=cwc(8,4,4))'),
         ('lower', 14, 'cwc-reference[A(8,4,4)>=14, exhaustive-search]'),
@@ -673,19 +661,12 @@ PINNED_RECORDS = {
         ('upper', 80, 'johnson-general[shrink-weight block 0]'),
         ('lower', 1, 'single word'),
         ('lower', 8, 'pseudo-product(cwc(6,2,3)^2^3 x sys(2,2)^2^1)'),
-        ('lower', 8, 'pseudo-product(cwc(6,2,3)^2^3 x sys(2,2)^2^1)'),
         ('lower', 4, 'pseudo-product(cwc(6,6,3)^2^1 x sys(2,1)^2^2)'),
         ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(2,2)^2^1)'),
-        ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(2,2)^2^1)'),
-        ('lower', 4, 'pseudo-product(cwc(6,6,3)^2^1 x sys(2,1)^2^2)'),
         ('lower', 16, 'pseudo-product(cwc(6,4,3)^2^2 x sys(2,1)^2^2)'),
         ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^2 x sys(2,2)^2^1)'),
-        ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^2 x sys(2,2)^2^1)'),
-        ('lower', 16, 'pseudo-product(cwc(6,4,3)^2^2 x sys(2,1)^2^2)'),
         ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^1 x sys(2,1)^2^2)'),
         ('lower', 2, 'pseudo-product(cwc(6,4,3)^2^1 x sys(2,2)^2^1)'),
-        ('lower', 2, 'pseudo-product(cwc(6,4,3)^2^1 x sys(2,2)^2^1)'),
-        ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^1 x sys(2,1)^2^2)'),
         ('lower', 8, 'concatenation(outer=(2,2)_8, inner=cwc(6,2,3))'),
         ('lower', 4, 'concatenation(outer=(2,1)_2, inner=cwc(6,6,3))'),
         ('lower', 2, 'concatenation(outer=(2,2)_2, inner=cwc(6,6,3))'),
@@ -705,13 +686,6 @@ PINNED_RECORDS = {
         ('upper', 3, 'johnson-general[average-intersection closed form]'),
         ('lower', 1, 'single word'),
         ('lower', 2, 'pseudo-product(cwc(4,4,2)^2^1 x sys(2,2)^2^1)'),
-        ('lower', 2, 'pseudo-product(cwc(4,4,2)^2^1 x sys(2,2)^2^1)'),
-        ('lower', 2, 'pseudo-product(cwc(4,4,2)^2^1 x sys(2,2)^2^1)'),
-        ('lower', 2, 'pseudo-product(cwc(4,4,2)^2^1 x sys(2,2)^2^1)'),
-        ('lower', 2, 'pseudo-product(cwc(4,4,2)^2^1 x sys(2,2)^2^1)'),
-        ('lower', 2, 'pseudo-product(cwc(4,4,2)^2^1 x sys(2,2)^2^1)'),
-        ('lower', 2, 'concatenation(outer=(2,2)_2, inner=cwc(4,4,2))'),
-        ('lower', 2, 'concatenation(outer=(2,2)_2, inner=cwc(4,4,2))'),
         ('lower', 2, 'concatenation(outer=(2,2)_2, inner=cwc(4,4,2))'),
         ('exact', 2, 'clique-search[complete, nodes=1]'),
     ],

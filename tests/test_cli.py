@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import mcwc
 from mcwc import cli
 from mcwc.cli import main
-from mcwc.codes import WeightProfile, code_read_path, verify_code
+from mcwc.codes import TILE_BYTES, WeightProfile, code_read_path, verify_code
 from mcwc.pufsim import device_new, device_save
 
 
@@ -146,6 +147,21 @@ def test_design_verify_rejects_corruption(tmp_path, capsys):
     path.write_text("# design v=4 k=2 t=2\n0,1|2,3\n0,1|2,3\n")
     status, _, err = run(["design", "verify", str(path)], capsys)
     assert status == 2 and "DesignError" in err
+
+
+def test_construct_design_keeps_one_code_copy(tmp_path, capsys):
+    # 511 words of 256 x 512 bits: 8 MB, as the packed code and as verify_code's limbs.
+    argv = ["construct", "design", "--family", "one-factor", "--v"]
+    run(argv + ["4", "--out", str(tmp_path / "small.txt")], capsys)  # numpy imported first
+    tracemalloc.start()
+    try:
+        status, _, _ = run(argv + ["512", "--out", str(tmp_path / "code.txt")], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    code_bytes = 511 * 256 * 512 // 8
+    assert peak < 2.5 * code_bytes + 16 * TILE_BYTES
 
 
 def test_design_verify_counts_only_covered_pairs(tmp_path, capsys):
@@ -351,6 +367,13 @@ INPUT_FILES = {
     "qary_duplicate.txt": "# code q=3 len=2 d=1 profile=none\n0,1\n0,1\n",
     # one block of 60 points: C(60, 8) 8-subsets to count
     "design_t8.txt": "# design v=60 k=60 t=8\n" + ",".join(map(str, range(60))) + "\n",
+    # design files whose classes are not v/k blocks of k points 0..v-1
+    "design_missing_block.txt": "# design v=4 k=2 t=2\n0,1|2,3\n0,2\n",
+    "design_extra_point.txt": "# design v=4 k=2 t=2\n0,1|2,3,1\n",
+    "design_point_v.txt": "# design v=4 k=2 t=2\n0,1|2,4\n",
+    "design_negative.txt": "# design v=4 k=2 t=2\n0,1|2,-3\n",
+    "design_huge.txt": "# design v=4 k=2 t=2\n0,1|2," + "9" * 25 + "\n",
+    "design_repeated.txt": "# design v=4 k=2 t=2\n0,1|1,3\n",
     # reference rows that would break the store
     "ref_negative.csv": "kind,q,n,d,w,lower,upper,source\nA,2,8,4,4,-5,,neg\n",
     "ref_no_w.csv": "kind,q,n,d,w,lower,upper,source\nA,2,8,4,,1,20,typo\n",
@@ -473,7 +496,14 @@ PUF_SIM = ["puf-sim", "--code", "{tmp}/puf_code.txt", "--trials", "10"]
         ["construct", "complement", "--code", "builtin:full-" + "9" * 5000],
         # argv78: 4096^4097 words, a count too long to print
         ["construct", "rs", "--q", "4096", "--len", "4097", "--d", "1"],
-    ],
+    ]
+    + [
+        # argv79 on: bad design files
+        [*argv, f"{{tmp}}/design_{bad}.txt"]
+        for bad in ("missing_block", "extra_point", "point_v", "negative", "huge")
+        for argv in (["design", "verify"], ["construct", "design", "--file"])
+    ]
+    + [["design", "verify", "--partial", "{tmp}/design_repeated.txt"]],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
     for name, text in BAD_REFS.items():

@@ -496,7 +496,8 @@ def test_false_ingredient_claim_is_named(build, ingredient):
 def test_failed_output_with_sound_ingredients_is_a_bug():
     sound = cwc(["10", "01"], 2, 2, 1)
     with pytest.raises(AssertionError, match="verification failed"):
-        constructions_mod._finish([0b01, 0b11], 2, 2, None, "unit", 2, (("inner code", sound),))
+        words = np.packbits(np.array([[0, 1], [1, 1]], dtype=np.uint8), axis=1)  # 01 and 11
+        constructions_mod._finish(words, 2, 2, None, "unit", 2, (("inner code", sound),))
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import tracemalloc
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 import mcwc.codes as codes_mod
@@ -25,7 +26,7 @@ from mcwc.designs import (
 
 def pair_coverage_counts(design):
     cover = {}
-    for cls in design.classes:
+    for cls in design.classes.tolist():
         for block in cls:
             for pair in combinations(sorted(block), 2):
                 cover[pair] = cover.get(pair, 0) + 1
@@ -44,11 +45,12 @@ def test_affine_plane(q):
 
 def test_affine_plane_q2_classes():
     design = affine_plane(2)
-    assert design.classes == (
-        (((0, 1), (2, 3))),
-        (((0, 2), (1, 3))),
-        (((0, 3), (1, 2))),
-    )
+    assert design.classes.tolist() == [
+        [[0, 1], [2, 3]],
+        [[0, 2], [1, 3]],
+        [[0, 3], [1, 2]],
+    ]
+    assert design.classes.dtype == np.int64 and not design.classes.flags.writeable
 
 
 def test_affine_plane_bad_order():
@@ -70,13 +72,17 @@ def test_one_factorization_odd():
         one_factorization(5)
 
 
+def fields(design):
+    return design.v, design.k, design.t, design.classes.tolist()
+
+
 def test_one_factorization_matches_affine2():
-    assert one_factorization(4) == affine_plane(2)
+    assert fields(one_factorization(4)) == fields(affine_plane(2))
 
 
 def test_block_intersections():
     design = affine_plane(3)
-    blocks = [b for cls in design.classes for b in cls]
+    blocks = design.classes.reshape(-1, design.k).tolist()
     for b1, b2 in combinations(blocks, 2):
         assert len(set(b1) & set(b2)) <= design.t - 1
 
@@ -113,13 +119,13 @@ def test_verify_design_catches_corruption():
         design.v,
         design.k,
         design.t,
-        ((((0, 1), (1, 3)),),) + design.classes[1:],
+        [[[0, 1], [1, 3]]] + design.classes[1:].tolist(),
     )
     with pytest.raises(DesignError):
         verify_design(broken)
     # duplicate a class: pairs covered twice
     doubled = ResolvableDesign(
-        design.v, design.k, design.t, design.classes + design.classes[:1]
+        design.v, design.k, design.t, np.concatenate([design.classes, design.classes[:1]])
     )
     with pytest.raises(DesignError):
         verify_design(doubled)
@@ -137,11 +143,56 @@ def test_verify_design_refuses_blocks_sharing_t_points(require_complete):
         verify_design(unsorted, require_complete=require_complete)
 
 
+def tuple_canonical(classes):
+    """Points sorted in blocks, blocks in classes, classes in order: sorting nested tuples."""
+    ordered = sorted(tuple(sorted(tuple(sorted(block)) for block in cls)) for cls in classes)
+    return [[list(block) for block in cls] for cls in ordered]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_classes_take_canonical_order(seed):
+    rng = np.random.default_rng(seed)
+    for design in (affine_plane(3), one_factorization(8), ResolvableDesign(8, 4, 3, sqs8_classes())):
+        classes = design.classes.tolist()
+        for cls in classes:  # shuffle points, blocks and classes
+            for block in cls:
+                rng.shuffle(block)
+            rng.shuffle(cls)
+        rng.shuffle(classes)
+        shuffled = ResolvableDesign(design.v, design.k, design.t, classes)
+        assert shuffled.classes.tolist() == design.classes.tolist()
+    # Blocks that share points and points out of range sort as tuples do too.
+    classes = rng.integers(-3, 4, size=(12, 3, 2)).tolist()
+    assert ResolvableDesign(6, 2, 1, classes).classes.tolist() == tuple_canonical(classes)
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [
+        [[[0, 1], [2]]],  # ragged
+        [[[0, 1]], [[0, 2], [1, 3]]],  # a class with a missing block
+        [[[0, 1, 2], [3, 4, 5]]],  # blocks of three points
+        [[[0.0, 1.0], [2.0, 3.0]]],  # not integers
+        [[[0, 10**25], [2, 3]]],  # past int64
+        [[[0, 2**64 - 1], [2, 3]]],
+    ],
+)
+def test_design_refuses_classes_of_another_shape_or_type(classes):
+    with pytest.raises(DesignError, match="not arrays of 2 blocks of 2 integer points"):
+        ResolvableDesign(4, 2, 2, classes)
+
+
+def test_design_refuses_inconsistent_parameters():
+    for v, k, t in ((5, 2, 2), (4, 2, 0), (4, 2, 3), (2, 4, 1)):
+        with pytest.raises(DesignError, match="inconsistent parameters"):
+            ResolvableDesign(v, k, t, ())
+
+
 def test_design_file_round_trip():
     design = one_factorization(6)
     buf = io.StringIO()
-    design_write(buf, design, extra_comments=["provenance: test"])
-    assert design_read(io.StringIO(buf.getvalue())) == design
+    design_write(buf, design)
+    assert fields(design_read(io.StringIO(buf.getvalue()))) == fields(design)
 
 
 def test_design_read_errors():
@@ -151,6 +202,22 @@ def test_design_read_errors():
         design_read(io.StringIO("# design v=4 k=2 t=two\n0,1|2,3\n"))
     with pytest.raises(DesignError):
         design_read(io.StringIO("# design v=4 k=2 t=2\n0,x|2,3\n"))
+    # Blocks of unequal size, or a point past int64, make a bad line; another
+    # block count or size than the other lines, or than v and k ask for, a bad design.
+    for line, error in [
+        ("0,1,2|3", "bad class line"),
+        ("0,1|2," + "9" * 25, "bad class line"),
+        ("0,1", "not arrays of 2 blocks of 2 integer points"),
+        ("0,1|2,3|4,5", "not arrays of 2 blocks of 2 integer points"),
+        ("0|1|2|3", "not arrays of 2 blocks of 2 integer points"),
+    ]:
+        with pytest.raises(DesignError, match=error):
+            design_read(io.StringIO(f"# design v=4 k=2 t=2\n0,1|2,3\n{line}\n"))
+        with pytest.raises(DesignError, match=error):
+            design_read(io.StringIO(f"# design v=4 k=2 t=2\n{line}\n"))
+    # Spaces and signs around points are read as before.
+    design = design_read(io.StringIO("# design v=4 k=2 t=2\n 3 ,+2| 1,0\n"))
+    assert design.classes.tolist() == [[[0, 1], [2, 3]]]
 
 
 def test_external_design_with_fewer_classes():
@@ -169,7 +236,7 @@ def test_external_design_with_fewer_classes():
 def reference_first_failure(design, require_complete):
     """The message for the first failing t-subset, counting every t-subset of the points."""
     cover = {}
-    for cls in design.classes:
+    for cls in design.classes.tolist():
         for block in cls:
             for sub in combinations(sorted(block), design.t):
                 cover[sub] = cover.get(sub, 0) + 1
@@ -192,7 +259,11 @@ def sqs8_classes():
 @pytest.mark.parametrize("require_complete", [True, False])
 @pytest.mark.parametrize(
     "v, k, t, classes",
-    [(8, 2, 2, one_factorization(8).classes), (9, 3, 2, affine_plane(3).classes), (8, 4, 3, sqs8_classes())],
+    [
+        (8, 2, 2, one_factorization(8).classes.tolist()),
+        (9, 3, 2, affine_plane(3).classes.tolist()),
+        (8, 4, 3, list(sqs8_classes())),
+    ],
 )
 def test_verify_design_names_first_failing_subset(v, k, t, classes, require_complete):
     # Dropped, repeated and swapped classes, checked against counting every t-subset.
@@ -233,11 +304,11 @@ def test_coverage_cap(monkeypatch):
     # one-factorizations up to 1024 points; both cover C(1024, 2) pairs.
     assert comb(32**2, 2) == comb(1024, 2) <= MAX_COVERAGE_ENTRIES < comb(37**2, 2)
     assert comb(1026, 2) > MAX_COVERAGE_ENTRIES
-    def no_blocks(classes):
+    def no_blocks(*args):
         raise AssertionError("blocks built")
 
     with monkeypatch.context() as patch:  # refused before any block is built
-        patch.setattr(designs_mod, "canonical_classes", no_blocks)
+        patch.setattr(designs_mod, "ResolvableDesign", no_blocks)
         for build, order in ((affine_plane, 37), (one_factorization, 1026)):
             with pytest.raises(DesignError, match="over the cap"):
                 build(order)
