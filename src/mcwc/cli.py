@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 
 from . import __version__
 from .asymptotics import DomainError, curve_names, emit_curves, write_curves_csv
@@ -440,10 +441,11 @@ def _cmd_puf_sim(args) -> int:
         )
     sweep = reliability_sweep(dev, code, args.noise, args.trials, seed=args.seed)
 
+    counts = Counter(p.distance for p in sweep.pairs if p.usable)
+
     def render(f):
         for dist, mean in sweep.bucket_means.items():
-            count = sum(1 for p in sweep.pairs if p.distance == dist and p.usable)
-            f.write(f"# bucket distance={dist} pairs={count} mean_flip_rate={mean:.6g}\n")
+            f.write(f"# bucket distance={dist} pairs={counts[dist]} mean_flip_rate={mean:.6g}\n")
         f.write("pair_index,distance,flip_rate\n")
         for p in sweep.pairs:
             rate = "nan" if not p.usable else f"{p.flip_rate:.6g}"

@@ -105,13 +105,21 @@ def verify_design(design: ResolvableDesign, *, require_complete: bool = True) ->
     first = subsets[repeats[:1]]  # the first repeated t-subset, if any, and its count
     bad = [(tuple(sub.tolist()), int((subsets == sub).all(axis=1).sum())) for sub in first]
     covered = np.delete(subsets, repeats, axis=0)
-    if require_complete and len(covered) < comb(v, t):
+    if require_complete and not len(covered):  # no block, so no repeat: t comes from the header alone
+        bad.append((range(t), 0))
+    elif require_complete and len(covered) < comb(v, t):
         # At most len(covered) + 1 steps: all t-subsets before the first uncovered one are covered.
         covered = chain(map(tuple, covered.tolist()), [None])
         bad.append((next(sub for sub, got in zip(combinations(range(v), t), covered) if sub != got), 0))
     if bad:
         sub, count = min(bad)
-        raise DesignError(f"{t}-subset {sub} covered {count} times")
+        raise DesignError(f"{t}-subset {_subset_text(sub)} covered {count} times")
+
+
+def _subset_text(sub) -> str:
+    """A t-subset as its tuple's text, with the middle of one over 8 points elided: (0, 1, 2, …, 199999)."""
+    points = list(sub) if len(sub) <= 8 else [*sub[:3], "…", sub[-1]]
+    return "(" + ", ".join(map(str, points)) + ("," if len(sub) == 1 else "") + ")"
 
 
 def affine_plane(q: int) -> ResolvableDesign:

@@ -12,11 +12,13 @@ summation order: statements like "the deterministic delay difference is
 exactly zero" are then bit-level facts, not tolerance checks.
 
 Randomness uses the counter-based Philox generator with explicit seeds.  In a
-reliability sweep, pair k draws from the stream SeedSequence(seed).spawn(P)[k],
-built directly from its spawn key, so the pairs are drawn on worker threads
-(one per usable CPU) and the result does not depend on the worker count or on
-the order in which pairs finish.  check_sweep_size caps a sweep's memory and
-work (MAX_TRIALS, MAX_PAIR_TRIALS) before any draw.
+reliability sweep, pair k draws from the stream SeedSequence(seed).spawn(P)[k].
+The Philox keys of all pairs are derived at once, in one numpy pass of
+SeedSequence's hash, and each worker thread (one per usable CPU) re-keys one
+generator of its own for every pair, so the result does not depend on the
+worker count or on the order in which blocks of pairs finish.
+check_sweep_size caps a sweep's memory and work (MAX_TRIALS, MAX_PAIR_TRIALS)
+before any draw.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -33,11 +34,16 @@ import numpy as np
 from .codes import BinaryCode, CodeError, distance_tiles
 
 QUANTUM = 2.0**-30
-# Each sweep worker holds 17 bytes per trial (two float64 noise rows and a bool
-# mask), so MAX_TRIALS bounds a worker at 17 MB.  MAX_PAIR_TRIALS bounds the
-# sweep's work: each pair, tied or not, is charged its trials plus
-# PAIR_SETUP_TRIALS for its ~50 us of generator set-up and Python objects (about
-# the time of 1,500 trials), so a 1-trial sweep is capped at ~666k pairs.
+# A sweep worker draws its pairs in blocks of about BLOCK_TRIALS trials, or one
+# pair when its trials are more.  It holds one float64 noise row and a bool mask
+# per trial of the block, and the second noise rows, or the chunks of one pair's
+# second row, in BLOCK_TRIALS float64: at most 9 bytes per trial plus 8 x
+# BLOCK_TRIALS bytes, so MAX_TRIALS bounds a worker at ~9.3 MB.  MAX_PAIR_TRIALS
+# bounds the sweep's work: each pair, tied or not, is charged its trials plus
+# PAIR_SETUP_TRIALS for its re-keying and Python objects.  On a 2-core Xeon VM
+# these take ~8 us per pair on one worker and ~12 us on two, the time of 150 to
+# 450 trials, so the charge keeps a margin; a 1-trial sweep is capped at ~666k pairs.
+BLOCK_TRIALS = 1 << 15
 MAX_TRIALS = 1_000_000
 MAX_PAIR_TRIALS = 1_000_000_000
 PAIR_SETUP_TRIALS = 1_500
@@ -155,7 +161,7 @@ def deterministic_difference(dev: DelayModel, bits_u: np.ndarray, bits_v: np.nda
     return mu_delay(dev, wu) - mu_delay(dev, wv)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChallengeResponse:
     u_index: int
     v_index: int
@@ -183,7 +189,7 @@ def generate_crps(dev: DelayModel, code: BinaryCode) -> list[ChallengeResponse]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairReliability:
     pair_index: int
     u_index: int
@@ -245,62 +251,62 @@ def _sweep(dev, code, noise_sigma, trials, seed, workers) -> SweepResult:
     check_sweep_size(len(code.words), trials)
     _check_noise_and_seed(noise_sigma, seed)
     words = code.words
-    pair_count = len(words) * (len(words) - 1) // 2
-    matrices = [word_matrix(dev, code, wd) for wd in words]
-    delays = [measure_delay(dev, mat) for mat in matrices]
-
-    pair_list = list(combinations(range(len(words)), 2))
-    # In pair_list order: row r of a tile pairs its word with the later words c >= r.
-    distances = [d for _, dist in distance_tiles(words, later=True)
-                 for d in dist[np.triu_indices(len(dist), 0, dist.shape[1])].tolist()]
-    refs = [delays[i] - delays[j] for i, j in pair_list]
-    flips = [0] * pair_count
+    delays = np.array([measure_delay(dev, word_matrix(dev, code, wd)) for wd in words])
+    first, second = np.triu_indices(len(words), 1)  # the pairs in combinations order
+    refs = delays[first] - delays[second]
+    # In that order too: row r of a tile pairs its word with the later words c >= r.
+    distances = np.concatenate([np.empty(0, int)] + [
+        dist[np.triu_indices(len(dist), 0, dist.shape[1])] for _, dist in distance_tiles(words, later=True)
+    ])
+    usable = refs != 0.0
+    flips = np.zeros(len(refs), dtype=np.int64)
     if noise_sigma > 0.0:
-        jobs = [(idx, ref) for idx, ref in enumerate(refs) if ref != 0.0]
-        _count_flips(jobs, flips, noise_sigma, trials, seed, workers)
-    pairs = []
-    sums: dict[int, list[float]] = {}
-    for idx, ((i, j), ref, dist) in enumerate(zip(pair_list, refs, distances)):
-        if ref == 0.0:
-            pairs.append(PairReliability(idx, i, j, dist, False, float("nan")))
-            continue
-        flip_rate = flips[idx] / trials
-        pairs.append(PairReliability(idx, i, j, dist, True, flip_rate))
-        sums.setdefault(dist, []).append(flip_rate)
-
-    bucket_means = {dist: float(np.mean(rates)) for dist, rates in sorted(sums.items())}
-    return SweepResult(tuple(pairs), bucket_means, noise_sigma, trials, seed)
+        jobs = np.flatnonzero(usable)
+        flips[jobs] = _count_flips(jobs, refs[jobs], noise_sigma, trials, seed, workers)
+    rates = np.where(usable, flips / trials, np.nan)
+    pairs = tuple(map(PairReliability, range(len(refs)), first.tolist(), second.tolist(),
+                      distances.tolist(), usable.tolist(), rates.tolist()))
+    bucket_means = {dist: float(np.mean(rates[usable & (distances == dist)]))
+                    for dist in np.unique(distances[usable]).tolist()}
+    return SweepResult(pairs, bucket_means, noise_sigma, trials, seed)
 
 
-def _count_flips(jobs, flips, noise_sigma, trials, seed, workers) -> None:
-    """Set flips[idx] for every (idx, ref) job, on at most `workers` threads.
+def _count_flips(jobs, refs, noise_sigma, trials, seed, workers) -> np.ndarray:
+    """Flip counts of the pairs jobs (pair indices) with reference gaps refs, on at most `workers` threads.
 
-    Workers take jobs from one shared iterator and write only their jobs'
-    entries.  numpy draws with the interpreter lock released and each pair has
-    its own bit generator, so the workers share no lock but the iterator's.
-    Once a worker raises, the others stop at their next job; the first error
-    is raised here after every worker has ended.
+    The Philox keys of all pairs are derived at once.  Workers take blocks of
+    pairs from one shared iterator, each re-keys one generator of its own per
+    pair, and each writes only its blocks' counts.  numpy draws with the
+    interpreter lock released, so the workers share no lock but the
+    iterator's.  Once a worker raises, the others stop at their next block;
+    the first error is raised here after every worker has ended.
     """
-    workers = min(workers, len(jobs))
+    keys = _philox_keys(seed, jobs)
+    counts = np.zeros(len(jobs), dtype=np.int64)
+    per_block = max(1, BLOCK_TRIALS // trials)
+    blocks = range(0, len(jobs), per_block)
+    workers = min(workers, len(blocks))
     if workers == 0:
-        return
+        return counts
     from concurrent.futures import ThreadPoolExecutor
 
-    pending = iter(jobs)
+    pending = iter(blocks)
     lock = threading.Lock()
     failed = threading.Event()
 
     def work() -> None:
-        buf = np.empty((2, trials))
-        mask = np.empty(trials, dtype=bool)
         try:
+            gen = np.random.Generator(np.random.Philox(0))  # re-keyed for every pair
+            first = np.empty((per_block, trials))
+            second = np.empty((per_block, min(trials, BLOCK_TRIALS)))
+            mask = np.empty((per_block, trials), dtype=bool)
             while not failed.is_set():
                 with lock:
-                    job = next(pending, None)
-                if job is None:
+                    start = next(pending, None)
+                if start is None:
                     return
-                idx, ref = job
-                flips[idx] = _pair_flips(seed, idx, ref, noise_sigma, buf, mask)
+                block = slice(start, start + per_block)
+                _flip_block(gen, keys[block], refs[block], noise_sigma, first, second, mask, counts[block])
         except BaseException:
             failed.set()
             raise
@@ -315,26 +321,93 @@ def _count_flips(jobs, flips, noise_sigma, trials, seed, workers) -> None:
     for exc in errors:
         if exc is not None:
             raise exc
+    return counts
 
 
-def _pair_flips(seed, idx, ref, noise_sigma, buf, mask) -> int:
-    """Trials (columns of buf) in which pair idx's noisy difference loses the sign of ref.
+def _flip_block(gen, keys, refs, noise_sigma, first, second, mask, out) -> None:
+    """Set out[r] to the count of trials in which pair r (key keys[r], gap refs[r]) loses the sign of its gap.
 
-    standard_normal scaled in place is bit-equal to normal(0, noise_sigma),
-    and the difference is formed as (ref + n0) - n1, as a plain expression
-    would, so the counts match an unthreaded loop exactly.
+    Pair r's stream fills row r of `first`, then row r of `second`, or, when
+    its trials outnumber the width of `second` (a block of one pair), the
+    second row in chunks of that width.  standard_normal fills sequentially,
+    so these are the values of one (2, trials) draw.  The steps below are the
+    float operations of (ref + sigma*n0) - sigma*n1 in that order, scaling
+    standard normals in place is bit-equal to normal(0, sigma), and
+    multiplying by the sign of ref is exact, so the counts match a per-pair
+    loop exactly.
     """
-    stream = np.random.SeedSequence(seed, spawn_key=(idx,))  # == .spawn(P)[idx]
-    np.random.Generator(np.random.Philox(stream)).standard_normal(out=buf)
-    buf *= noise_sigma
-    noisy = buf[0]
-    noisy += ref
-    noisy -= buf[1]
-    if ref > 0.0:
-        np.less_equal(noisy, 0.0, out=mask)
-    else:
-        np.greater_equal(noisy, 0.0, out=mask)
-    return int(np.count_nonzero(mask))
+    count, trials = len(keys), first.shape[1]
+    chunk = second.shape[1]
+    noisy, flipped = first[:count], mask[:count]
+    zero = np.zeros(4, dtype=np.uint64)
+    keyed = {"counter": zero}
+    state = {"bit_generator": "Philox", "state": keyed, "buffer": zero, "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for r in range(count):
+        keyed["key"] = keys[r]
+        gen.bit_generator.state = state
+        gen.standard_normal(out=noisy[r])
+        if chunk == trials:
+            gen.standard_normal(out=second[r])
+    noisy *= noise_sigma
+    noisy += refs[:, None]
+    if chunk == trials:
+        noise = second[:count]
+        noise *= noise_sigma
+        noisy -= noise
+    else:  # count == 1: the generator goes on with the second row, one chunk at a time
+        for start in range(0, trials, chunk):
+            noise = second[0, :trials - start]  # at most chunk wide
+            gen.standard_normal(out=noise)
+            noise *= noise_sigma
+            noisy[0, start:start + len(noise)] -= noise
+    noisy *= np.sign(refs)[:, None]
+    np.less_equal(noisy, 0.0, out=flipped)
+    out[:] = flipped.sum(axis=1, dtype=np.int32)  # trials <= MAX_TRIALS < 2^31
+
+
+def _philox_keys(seed: int, pairs: np.ndarray) -> np.ndarray:
+    """Philox key of each pair k: SeedSequence(seed, spawn_key=(k,)).generate_state(2, np.uint64).
+
+    NumPy's SeedSequence algorithm, run on uint32 arrays: the seed's 32-bit
+    words, zero-padded to the pool size of 4, then k, are hashed into a pool
+    of 4 words, and 4 output words are hashed from the pool.  Every step before
+    k is mixed in is the same for all pairs, so the arrays broadcast from one
+    entry to all pairs there.
+    """
+    pairs = np.asarray(pairs)
+    assert pairs.size == 0 or pairs.max() < 1 << 32, "a spawn key past 32 bits"  # the caps keep k < 666k
+    mask32 = 0xFFFF_FFFF
+    seed = int(seed)
+    words = [np.array([seed >> shift & mask32], dtype=np.uint32)
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [np.zeros(1, dtype=np.uint32)] * (4 - len(words)) + [pairs.astype(np.uint32)]
+
+    def hasher(const, mult):  # each call hashes with the next constant of its sequence
+        def hash_(value):
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & mask32
+            value = value * np.uint32(const)
+            return value ^ value >> np.uint32(16)
+        return hash_
+
+    def mix(x, y):
+        value = x * np.uint32(0xCA01_F9DD) - y * np.uint32(0x4973_F715)
+        return value ^ value >> np.uint32(16)
+
+    hashmix = hasher(0x43B0_D7E5, 0x931E_8875)
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = map(hasher(0x8B51_F9DD, 0x58F3_8DED), pool)  # generate_state's 4 output words
+    state = np.stack(np.broadcast_arrays(*state), axis=1).astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)  # little-endian word pairs
 
 
 # ---------- device files (JSON, round-trip exact via repr floats) ----------

@@ -173,6 +173,15 @@ def test_design_verify_counts_only_covered_pairs(tmp_path, capsys):
     assert status == 0 and "classes=0" in stdout
 
 
+def test_design_verify_of_header_alone_exits_2_with_one_short_line(tmp_path, capsys):
+    path = tmp_path / "header.txt"
+    path.write_text("# design v=200000 k=200000 t=200000\n")
+    status, stdout, err = run(["design", "verify", str(path)], capsys)
+    assert status == 2 and not stdout
+    assert err.count("\n") == 1 and len(err) < 300, err[:300]
+    assert "200000-subset (0, 1, 2, …, 199999) covered 0 times" in err
+
+
 @pytest.mark.parametrize("length", [1, 3])
 def test_rs_over_gf2_reads_back(length, tmp_path, capsys):
     path = tmp_path / "rs2.txt"

@@ -295,6 +295,24 @@ def test_verify_design_counts_only_covered_subsets():
     verify_design(empty, require_complete=False)
 
 
+def test_verify_design_elides_long_subsets():
+    # Over 8 points the message names the first three and the last; 8 or fewer are named in full.
+    whole = ResolvableDesign(10, 10, 10, [[list(range(10))]] * 2)
+    with pytest.raises(DesignError, match=r"^10-subset \(0, 1, 2, …, 9\) covered 2 times$"):
+        verify_design(whole)
+    halves = ResolvableDesign(20, 10, 9, [[list(range(10)), list(range(10, 20))]])
+    with pytest.raises(DesignError, match=r"^9-subset \(0, 1, 2, …, 10\) covered 0 times$"):
+        verify_design(halves)
+    eight = ResolvableDesign(16, 8, 8, [[list(range(8)), list(range(8, 16))]] * 2)
+    with pytest.raises(DesignError, match=r"^8-subset \(0, 1, 2, 3, 4, 5, 6, 7\) covered 2 times$"):
+        verify_design(eight)
+    with pytest.raises(DesignError, match=r"^1-subset \(0,\) covered 0 times$"):
+        verify_design(ResolvableDesign(4, 2, 1, ()))
+    # No block at all: t comes from the header alone and costs no work.
+    with pytest.raises(DesignError, match=r"^1000000000-subset \(0, 1, 2, …, 999999999\) covered 0 times$"):
+        verify_design(ResolvableDesign(10**9, 10**9, 10**9, ()))
+
+
 def test_coverage_cap(monkeypatch):
     # C(60, 8) = 2,558,620,845 8-subsets in one block, refused before any is counted.
     block = ResolvableDesign(60, 60, 8, ((tuple(range(60)),),))

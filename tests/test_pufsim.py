@@ -347,7 +347,7 @@ SWEEP_CASES = [
 
 
 @pytest.mark.parametrize("case", range(len(SWEEP_CASES)))
-def test_threaded_sweep_matches_reference(case):
+def test_threaded_sweep_matches_reference(case, monkeypatch):
     (m, n, mu, s_eps, dev_seed), code, sigma, trials, seed = SWEEP_CASES[case]
     dev = device_new(m, n, mu, s_eps=s_eps, seed=dev_seed)
     expected = sweep_key(reference_sweep(dev, code, sigma, trials, seed))
@@ -355,12 +355,26 @@ def test_threaded_sweep_matches_reference(case):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers in (1, 2, 5):  # 5: more workers than cores
-            got = pufsim._sweep(dev, code, sigma, trials, seed, workers)
-            assert sweep_key(got) == expected, workers
+        # 2048: several pairs per block; 37: each pair of more trials alone in its
+        # block, its second row drawn in chunks that do not divide the trials.
+        for block in (pufsim.BLOCK_TRIALS, 2048, 37):
+            monkeypatch.setattr(pufsim, "BLOCK_TRIALS", block)
+            for workers in (1, 2, 5):  # 5: more workers than cores
+                got = pufsim._sweep(dev, code, sigma, trials, seed, workers)
+                assert sweep_key(got) == expected, (block, workers)
     finally:
         sys.setswitchinterval(interval)
     assert not sweep_threads()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40, 2**64 + 5, 2**130 + 3])
+def test_philox_keys_match_seed_sequence(seed):
+    pairs = [0, 1, 255, 2**16, 666_000]
+    keys = pufsim._philox_keys(seed, np.array(pairs))
+    assert keys.dtype == np.uint64 and keys.shape == (len(pairs), 2)
+    for k, key in zip(pairs, keys):
+        stream = np.random.SeedSequence(seed, spawn_key=(k,))
+        assert key.tolist() == stream.generate_state(2, np.uint64).tolist(), k
 
 
 def test_flat_device_sweep_has_no_usable_pair():
@@ -372,23 +386,43 @@ def test_flat_device_sweep_has_no_usable_pair():
 
 @pytest.mark.parametrize("workers", [1, 2, 5])
 def test_worker_error_reaches_caller(workers, monkeypatch):
-    real = pufsim._pair_flips
+    real = pufsim._flip_block
+    fault = pufsim._philox_keys(0, [7])[0]
     done = []
 
-    def faulty(seed, idx, *rest):
-        if idx == 7:
+    def faulty(gen, keys, *rest):
+        if (keys == fault).all(axis=1).any():
             raise RuntimeError("injected fault at pair 7")
-        done.append(idx)
-        return real(seed, idx, *rest)
+        done.append(len(keys))
+        return real(gen, keys, *rest)
 
-    monkeypatch.setattr(pufsim, "_pair_flips", faulty)
+    monkeypatch.setattr(pufsim, "BLOCK_TRIALS", 400)  # two pairs of 200 trials per block
+    monkeypatch.setattr(pufsim, "_flip_block", faulty)
     dev = device_new(2, 4, (1.0, 1.05), s_eps=1e-3, seed=3)
     code = all_words_code(2, 4, 2)  # 630 pairs
     with pytest.raises(RuntimeError, match="pair 7"):
         pufsim._sweep(dev, code, 1e-3, 200, 0, workers)
-    # the other workers stop at their next pair instead of finishing the sweep
-    assert len(done) < 630 - 1
+    # the other workers stop at their next block instead of finishing the sweep
+    assert sum(done) < 630 - 2
     assert not sweep_threads()
+
+
+def test_sweep_worker_buffers_stay_in_budget():
+    # 9 bytes per trial plus BLOCK_TRIALS float64 for the second row's chunks, per
+    # worker; two whole float64 rows would take 17 bytes per trial.
+    import tracemalloc
+
+    dev = device_new(1, 6, (1.0, 1.25), s_eps=1e-3, seed=9)
+    code = BinaryCode.from_words([0b111000, 0b110100, 0b101100], 6, 2, WeightProfile.homogeneous(1, 6, 3))
+    trials = 200_000
+    pufsim._sweep(dev, code, 1e-3, 100, 0, 2)  # first-use allocations outside the trace
+    tracemalloc.start()
+    try:
+        pufsim._sweep(dev, code, 1e-3, trials, 0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (9 * trials + 8 * pufsim.BLOCK_TRIALS) + 500_000, peak
 
 
 def test_flip_counts_match_closed_form():
