@@ -21,9 +21,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, TextIO
 
 from . import designs as designs_mod
+from . import workers
 from .clique import max_clique, pack_rows
 from .codes import BinaryCode, WeightProfile, distance_tiles
 from .constructions import (
@@ -489,9 +490,12 @@ class BoundTable:
     def __init__(self, references: ReferenceStore | None = None):
         self.references = references if references is not None else default_references()
         self.records: dict[tuple[int, int, int, int], list[BoundRecord]] = {}
+        # cell -> the pending result of its search on a worker, in the order deferred
+        self._pending: dict[tuple[int, int, int, int], Callable[[], BoundRecord]] = {}
 
     def insert(self, record: BoundRecord) -> None:
         cell = record.cell
+        self._settle(cell)
         bucket = self.records.setdefault(cell, [])
         bucket.append(record)
         lo, lo_prov = self.best_lower(cell)
@@ -501,7 +505,23 @@ class BoundTable:
                 f"cell {cell}: lower {lo} ({lo_prov}) exceeds upper {hi} ({hi_prov})"
             )
 
+    def defer(self, cell, pending) -> None:
+        """Hold the pending result of the cell's search (``pending()`` waits for its
+        record); it is inserted before the cell is next read or written."""
+        self._pending[cell] = pending
+
+    def settle(self) -> None:
+        """Insert every pending search record, in the order the searches were deferred."""
+        while self._pending:
+            self._settle(next(iter(self._pending)))
+
+    def _settle(self, cell) -> None:
+        pending = self._pending.pop(cell, None)
+        if pending is not None:
+            self.insert(pending())
+
     def best_lower(self, cell) -> tuple[float, str]:
+        self._settle(cell)
         best, prov = 0, "none"
         for rec in self.records.get(cell, ()):
             if rec.kind in ("lower", "exact") and rec.value > best:
@@ -509,6 +529,7 @@ class BoundTable:
         return best, prov
 
     def best_upper(self, cell) -> tuple[float, str]:
+        self._settle(cell)
         best, prov = INF, "none"
         for rec in self.records.get(cell, ()):
             if rec.kind in ("upper", "exact") and rec.value < best:
@@ -588,8 +609,13 @@ def evaluate_cell(
     *,
     node_budget: int = TABLE_NODE_BUDGET,
     vertex_cap: int = TABLE_VERTEX_CAP,
+    searches: SearchPool | None = None,
 ) -> None:
-    """Apply the bound rules and constructions that can decide one cell, inserting records."""
+    """Apply the bound rules and constructions that can decide one cell, inserting records.
+
+    The exact search runs inline, or on a worker of `searches`; its record is then
+    deferred in the table until the cell is next read.
+    """
     cell_profile_count = comb(n, w) ** m
 
     # Upper bounds first (they include the exact power rule).  johnson_general is
@@ -634,10 +660,49 @@ def evaluate_cell(
     cell = (m, n, d, w)
     if cell_profile_count <= vertex_cap and table.exact_value(cell) is None:
         upper, _ = table.best_upper(cell)
-        table.insert(
-            exact_search(m, n, d, w, node_budget=node_budget, vertex_cap=vertex_cap,
-                         upper=upper)
-        )
+        limits = {"node_budget": node_budget, "vertex_cap": vertex_cap, "upper": upper}
+        pending = searches.submit(cell, limits) if searches is not None else None
+        if pending is None:
+            table.insert(exact_search(m, n, d, w, **limits))
+        else:
+            table.defer(cell, pending)
+
+
+class SearchPool:
+    """Exact searches on one forked worker process per usable CPU.
+
+    The pool starts at the first search, so a table that searches no cell
+    forks nothing.  With one usable CPU, or no ``fork``, there is no pool and
+    searches run inline.  Leaving the context terminates and joins the pool.
+    """
+
+    def __init__(self):
+        self._pool: workers.ForkPool | None = None
+        self._started = False
+
+    def __enter__(self) -> "SearchPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.close()
+
+    def submit(self, cell, limits: dict):
+        """The pending result of exact_search(*cell, **limits), or None if it is to run inline."""
+        if not self._started:
+            self._started = True
+            cpus = workers.usable_cpus()
+            if cpus > 1:
+                self._pool = workers.fork_pool(cpus, _worker_exact_search)
+        if self._pool is None:
+            return None
+        return self._pool.submit(*cell, **limits)
+
+
+def _worker_exact_search(*args, **kwargs):
+    """exact_search as this module names it when the worker calls it, so a worker
+    runs a function put in its place (a tracing wrapper, say) as the parent would."""
+    return exact_search(*args, **kwargs)
 
 
 def table_build(
@@ -651,16 +716,28 @@ def table_build(
     vertex_cap: int = TABLE_VERTEX_CAP,
 ) -> BoundTable:
     """Evaluate every cell in the given ranges once, in ascending m, n, w and d; d
-    defaults to all even d <= m*n.  A cell may read the m = 1 cell it embeds in."""
+    defaults to all even d <= m*n.  A cell may read the m = 1 cell it embeds in.
+
+    Exact searches run on a SearchPool while the rules of the following cells
+    are evaluated.  A cell's search record is inserted before the cell is
+    next read, and all of them before this returns, so the records are the
+    same, in the same order, as when every search runs inline.
+    """
     table = BoundTable(references)
-    for m in sorted(set(m_values)):
-        for n in sorted(set(n_values)):
-            for w in sorted(set(w_values)):
-                if w > n:
-                    continue
-                ds = sorted(set(d_values)) if d_values is not None else range(2, m * n + 1, 2)
-                for d in ds:
-                    evaluate_cell(
-                        table, m, n, d, w, node_budget=node_budget, vertex_cap=vertex_cap
-                    )
+    ms, ns, ws = (sorted(set(values)) for values in (m_values, n_values, w_values))
+    ds = sorted(set(d_values)) if d_values is not None else None
+    cells = [
+        (m, n, d, w)
+        for m in ms for n in ns for w in ws if w <= n
+        for d in (ds if ds is not None else range(2, m * n + 1, 2))
+    ]
+    with SearchPool() as searches:
+        try:
+            for cell in cells:
+                evaluate_cell(table, *cell, node_budget=node_budget, vertex_cap=vertex_cap,
+                              searches=searches)
+        except Exception:
+            table.settle()  # an earlier cell's failed search raises first, as it would inline
+            raise
+        table.settle()
     return table

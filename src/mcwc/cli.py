@@ -271,9 +271,10 @@ def _cmd_verify(args) -> int:
 def _cmd_design_verify(args) -> int:
     design = design_read_path(args.file)
     verify_design(design, require_complete=not args.partial)
+    expected = design.expected_class_count()
     print(
-        f"design v={design.v} k={design.k} t={design.t} "
-        f"classes={len(design.classes)} expected_classes={design.expected_class_count()} ok"
+        f"design v={design.v} k={design.k} t={design.t} classes={len(design.classes)} "
+        f"expected_classes={'over-cap' if expected is None else expected} ok"
     )
     return 0
 

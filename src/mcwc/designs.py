@@ -56,13 +56,30 @@ class ResolvableDesign:
         classes.flags.writeable = False
         object.__setattr__(self, "classes", classes)
 
-    def expected_class_count(self) -> int:
-        """k*C(v,t) / (v*C(k,t)) -- the class count of a full resolvable design."""
+    def expected_class_count(self) -> int | None:
+        """k*C(v,t) / (v*C(k,t)) -- the class count of a full resolvable design --
+        or None when a full design would cover more than MAX_COVERAGE_ENTRIES t-subsets."""
+        if capped_comb(self.v, self.t) > MAX_COVERAGE_ENTRIES:
+            return None
         return self.k * comb(self.v, self.t) // (self.v * comb(self.k, self.t))
 
 
 # Most t-subset coverage entries (blocks x C(k, t)) a design may ask to count.
 MAX_COVERAGE_ENTRIES = 1 << 19
+
+
+def capped_comb(v: int, t: int) -> int:
+    """C(v, t) for 0 <= t <= v, or MAX_COVERAGE_ENTRIES + 1 once the count passes the cap.
+
+    C(v, i) grows with i up to i = v/2, so the product stops within a few
+    dozen steps for any v and t.
+    """
+    count = 1
+    for i in range(min(t, v - t)):
+        count = count * (v - i) // (i + 1)
+        if count > MAX_COVERAGE_ENTRIES:
+            return MAX_COVERAGE_ENTRIES + 1
+    return count
 
 
 def check_coverage(blocks: int, k: int, t: int) -> None:
@@ -107,7 +124,7 @@ def verify_design(design: ResolvableDesign, *, require_complete: bool = True) ->
     covered = np.delete(subsets, repeats, axis=0)
     if require_complete and not len(covered):  # no block, so no repeat: t comes from the header alone
         bad.append((range(t), 0))
-    elif require_complete and len(covered) < comb(v, t):
+    elif require_complete and len(covered) < capped_comb(v, t):  # check_coverage caps len(covered)
         # At most len(covered) + 1 steps: all t-subsets before the first uncovered one are covered.
         covered = chain(map(tuple, covered.tolist()), [None])
         bad.append((next(sub for sub, got in zip(combinations(range(v), t), covered) if sub != got), 0))

@@ -14,9 +14,10 @@ exactly zero" are then bit-level facts, not tolerance checks.
 Randomness uses the counter-based Philox generator with explicit seeds.  In a
 reliability sweep, pair k draws from the stream SeedSequence(seed).spawn(P)[k].
 The Philox keys of all pairs are derived at once, in one numpy pass of
-SeedSequence's hash, and each worker thread (one per usable CPU) re-keys one
-generator of its own for every pair, so the result does not depend on the
-worker count or on the order in which blocks of pairs finish.
+SeedSequence's hash, and each worker thread (one per usable CPU, or one
+alone below SHARED_MIN_TRIALS trials per pair) re-keys one generator of its
+own for every pair, so the result does not depend on the worker count or on
+the order in which blocks of pairs finish.
 check_sweep_size caps a sweep's memory and work (MAX_TRIALS, MAX_PAIR_TRIALS)
 before any draw.
 """
@@ -24,13 +25,13 @@ before any draw.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import workers as workers_mod
 from .codes import BinaryCode, CodeError, distance_tiles
 
 QUANTUM = 2.0**-30
@@ -47,6 +48,11 @@ BLOCK_TRIALS = 1 << 15
 MAX_TRIALS = 1_000_000
 MAX_PAIR_TRIALS = 1_000_000_000
 PAIR_SETUP_TRIALS = 1_500
+# Re-keying holds the interpreter lock, so a second worker thread pays only once
+# each pair has enough trials to draw without it.  On the same VM two workers
+# took 1.03x the time of one at 384 trials per pair and 0.87x at 416 (2.0x at
+# 1 trial); a sweep of fewer trials than this runs on one worker.
+SHARED_MIN_TRIALS = 400
 
 
 class ModelError(ValueError):
@@ -219,17 +225,10 @@ def reliability_sweep(
 
     Each trial re-measures both words with independent noise and compares the
     sign against the noise-free reference.  Pair k draws from child k of
-    SeedSequence(seed), on one worker thread per usable CPU; the result is the
-    same for any worker count.
+    SeedSequence(seed), on one worker thread per usable CPU (one alone below
+    SHARED_MIN_TRIALS trials); the result is the same for any worker count.
     """
-    return _sweep(dev, code, noise_sigma, trials, seed, _usable_cpus())
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    return _sweep(dev, code, noise_sigma, trials, seed, workers_mod.usable_cpus())
 
 
 def check_sweep_size(word_count: int, trials: int) -> None:
@@ -285,7 +284,7 @@ def _count_flips(jobs, refs, noise_sigma, trials, seed, workers) -> np.ndarray:
     counts = np.zeros(len(jobs), dtype=np.int64)
     per_block = max(1, BLOCK_TRIALS // trials)
     blocks = range(0, len(jobs), per_block)
-    workers = min(workers, len(blocks))
+    workers = min(workers if trials >= SHARED_MIN_TRIALS else 1, len(blocks))
     if workers == 0:
         return counts
     from concurrent.futures import ThreadPoolExecutor

@@ -1,7 +1,10 @@
 """Bound rules, exact search, reference ingestion and table consistency."""
 
+import dataclasses
 import io
 import math
+import multiprocessing
+import os
 import random
 import re
 import sys
@@ -16,6 +19,7 @@ import pytest
 from mcwc import bounds as bounds_mod
 from mcwc import codes as codes_mod
 from mcwc import constructions as constructions_mod
+from mcwc import workers
 from mcwc.bounds import (
     BoundRecord,
     BoundTable,
@@ -850,3 +854,65 @@ def test_table_csv_export():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "m,n,d,w,lower,upper,exact_flag,lower_provenance,upper_provenance"
     assert lines[1].startswith("2,4,4,2,12,12,1,")
+
+
+# ---------- table searches on worker processes ----------
+
+def no_pool(*args):
+    raise AssertionError("a search pool started")
+
+
+def test_table_rows_same_on_one_worker_and_three(monkeypatch):
+    def build(cpus):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        return _csv(table_build([1, 2], [6, 7], [3], [4, 6], node_budget=20_000))
+
+    three = build(3)
+    assert not multiprocessing.active_children()
+    monkeypatch.setattr(workers, "fork_pool", no_pool)  # one CPU: every search inline
+    assert build(1) == three
+    rows = [line.split(",")[:6] for line in three.splitlines()]
+    for pinned in ("2,6,4,3,69,80", "2,7,4,3,185,245", "2,7,6,3,25,42"):
+        assert pinned.split(",") in rows
+
+
+def test_table_searches_run_an_unpicklable_exact_search_in_workers(monkeypatch):
+    parent, real = os.getpid(), bounds_mod.exact_search
+
+    def search(*args, **kwargs):  # a local closure, which pickle refuses
+        rec = real(*args, **kwargs)
+        where = "parent" if os.getpid() == parent else "worker"
+        return dataclasses.replace(rec, provenance=f"{rec.provenance} in {where}")
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(bounds_mod, "exact_search", search)
+    table = table_build([2], [6], [3], [4, 6], node_budget=2_000)
+    provenances = [rec.provenance for cell in table.cells() for rec in table.records[cell]]
+    searched = [prov for prov in provenances if prov.startswith("clique-search")]
+    assert len(searched) == 2 and all(prov.endswith(" in worker") for prov in searched)
+    assert not multiprocessing.active_children()
+
+
+def test_table_search_error_in_worker_reaches_caller(monkeypatch):
+    def failing(*args, **kwargs):
+        raise SearchSpaceError(f"refused {args}")
+
+    def dying(*args, **kwargs):
+        os._exit(1)
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(bounds_mod, "exact_search", failing)
+    with pytest.raises(SearchSpaceError, match=re.escape("refused (2, 6, 4, 3)")):
+        table_build([2], [6], [3], [4, 6], node_budget=2_000)
+    assert not multiprocessing.active_children()
+    monkeypatch.setattr(bounds_mod, "exact_search", dying)
+    with pytest.raises(RuntimeError, match="a worker process ended during call"):
+        table_build([2], [6], [3], [4, 6], node_budget=2_000)
+    assert not multiprocessing.active_children()
+
+
+def test_table_without_searches_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "fork_pool", no_pool)
+    table = table_build([1, 2], [6, 7], [3], [4, 6], vertex_cap=0)
+    assert len(table.cells()) == 8

@@ -182,6 +182,21 @@ def test_design_verify_of_header_alone_exits_2_with_one_short_line(tmp_path, cap
     assert "200000-subset (0, 1, 2, …, 199999) covered 0 times" in err
 
 
+def test_design_verify_partial_past_the_cap_answers_at_once(tmp_path, capsys):
+    # C(10^7, 5*10^6) has 3 million digits; its count stops at the coverage cap.
+    path = tmp_path / "header.txt"
+    path.write_text("# design v=10000000 k=10000000 t=5000000\n")
+    status, stdout, err = run(["design", "verify", "--partial", str(path)], capsys)
+    assert (status, err) == (0, "")
+    assert stdout == "design v=10000000 k=10000000 t=5000000 classes=0 expected_classes=over-cap ok\n"
+    # One class of a 2-(2000, 2, 1) design: a full one would cover 1,999,000 pairs.
+    path.write_text("# design v=2000 k=2 t=2\n" + "|".join(f"{p},{p + 1}" for p in range(0, 2000, 2)))
+    status, stdout, _ = run(["design", "verify", "--partial", str(path)], capsys)
+    assert status == 0 and stdout.endswith("classes=1 expected_classes=over-cap ok\n")
+    status, _, err = run(["design", "verify", str(path)], capsys)
+    assert status == 2 and "2-subset (0, 2) covered 0 times" in err
+
+
 @pytest.mark.parametrize("length", [1, 3])
 def test_rs_over_gf2_reads_back(length, tmp_path, capsys):
     path = tmp_path / "rs2.txt"

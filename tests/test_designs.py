@@ -341,6 +341,18 @@ def test_coverage_cap(monkeypatch):
             refused()
 
 
+def test_capped_comb_stops_at_the_coverage_cap():
+    cap = MAX_COVERAGE_ENTRIES
+    for v in range(70):
+        for t in range(v + 1):
+            assert designs_mod.capped_comb(v, t) == min(comb(v, t), cap + 1), (v, t)
+    assert designs_mod.capped_comb(1024, 2) == comb(1024, 2) <= cap
+    assert designs_mod.capped_comb(10**7, 5 * 10**6) == cap + 1  # 3 million digits, not worked out
+    # The expected class count is worked out within the cap only.
+    assert affine_plane(4).expected_class_count() == 5
+    assert ResolvableDesign(2048, 2, 2, []).expected_class_count() is None
+
+
 def test_design_to_mcwc_memory_stays_near_tile_bytes():
     # A 1-(v, v, 1) design is one class of one block: one word of weight v.
     # Building it must not compare every block point against every point.

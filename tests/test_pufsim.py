@@ -3,7 +3,7 @@
 import math
 import sys
 import threading
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -357,11 +357,13 @@ def test_threaded_sweep_matches_reference(case, monkeypatch):
     try:
         # 2048: several pairs per block; 37: each pair of more trials alone in its
         # block, its second row drawn in chunks that do not divide the trials.
-        for block in (pufsim.BLOCK_TRIALS, 2048, 37):
+        # SHARED_MIN_TRIALS 1 shares sweeps of any trial count among the workers.
+        for block, shared in product((pufsim.BLOCK_TRIALS, 2048, 37), (pufsim.SHARED_MIN_TRIALS, 1)):
             monkeypatch.setattr(pufsim, "BLOCK_TRIALS", block)
+            monkeypatch.setattr(pufsim, "SHARED_MIN_TRIALS", shared)
             for workers in (1, 2, 5):  # 5: more workers than cores
                 got = pufsim._sweep(dev, code, sigma, trials, seed, workers)
-                assert sweep_key(got) == expected, (block, workers)
+                assert sweep_key(got) == expected, (block, shared, workers)
     finally:
         sys.setswitchinterval(interval)
     assert not sweep_threads()
@@ -397,6 +399,7 @@ def test_worker_error_reaches_caller(workers, monkeypatch):
         return real(gen, keys, *rest)
 
     monkeypatch.setattr(pufsim, "BLOCK_TRIALS", 400)  # two pairs of 200 trials per block
+    monkeypatch.setattr(pufsim, "SHARED_MIN_TRIALS", 200)
     monkeypatch.setattr(pufsim, "_flip_block", faulty)
     dev = device_new(2, 4, (1.0, 1.05), s_eps=1e-3, seed=3)
     code = all_words_code(2, 4, 2)  # 630 pairs
@@ -404,6 +407,25 @@ def test_worker_error_reaches_caller(workers, monkeypatch):
         pufsim._sweep(dev, code, 1e-3, 200, 0, workers)
     # the other workers stop at their next block instead of finishing the sweep
     assert sum(done) < 630 - 2
+    assert not sweep_threads()
+
+
+def test_few_trials_sweep_runs_on_one_worker(monkeypatch):
+    real = pufsim._flip_block
+    threads = set()
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(pufsim, "BLOCK_TRIALS", 2 * pufsim.SHARED_MIN_TRIALS)  # two pairs per block
+    monkeypatch.setattr(pufsim, "_flip_block", recorded)
+    dev = device_new(2, 4, (1.0, 1.05), s_eps=1e-3, seed=3)
+    code = all_words_code(2, 4, 2)  # 630 pairs
+    few = pufsim._sweep(dev, code, 1e-3, pufsim.SHARED_MIN_TRIALS - 1, 0, 2)
+    assert len(threads) == 1
+    monkeypatch.setattr(pufsim, "SHARED_MIN_TRIALS", 1)
+    assert sweep_key(pufsim._sweep(dev, code, 1e-3, few.trials, 0, 2)) == sweep_key(few)
     assert not sweep_threads()
 
 
