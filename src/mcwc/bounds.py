@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, TextIO
 
 from . import designs as designs_mod
 from . import workers
@@ -39,6 +39,9 @@ from .constructions import (
     systematic_cwc_pool,
 )
 from .gf import field_for_order, prime_power
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 INF = math.inf
 
@@ -609,7 +612,7 @@ def evaluate_cell(
     *,
     node_budget: int = TABLE_NODE_BUDGET,
     vertex_cap: int = TABLE_VERTEX_CAP,
-    searches: SearchPool | None = None,
+    searches: Executor | None = None,
 ) -> None:
     """Apply the bound rules and constructions that can decide one cell, inserting records.
 
@@ -661,42 +664,10 @@ def evaluate_cell(
     if cell_profile_count <= vertex_cap and table.exact_value(cell) is None:
         upper, _ = table.best_upper(cell)
         limits = {"node_budget": node_budget, "vertex_cap": vertex_cap, "upper": upper}
-        pending = searches.submit(cell, limits) if searches is not None else None
-        if pending is None:
+        if searches is None:
             table.insert(exact_search(m, n, d, w, **limits))
         else:
-            table.defer(cell, pending)
-
-
-class SearchPool:
-    """Exact searches on one forked worker process per usable CPU.
-
-    The pool starts at the first search, so a table that searches no cell
-    forks nothing.  With one usable CPU, or no ``fork``, there is no pool and
-    searches run inline.  Leaving the context terminates and joins the pool.
-    """
-
-    def __init__(self):
-        self._pool: workers.ForkPool | None = None
-        self._started = False
-
-    def __enter__(self) -> "SearchPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.close()
-
-    def submit(self, cell, limits: dict):
-        """The pending result of exact_search(*cell, **limits), or None if it is to run inline."""
-        if not self._started:
-            self._started = True
-            cpus = workers.usable_cpus()
-            if cpus > 1:
-                self._pool = workers.fork_pool(cpus, _worker_exact_search)
-        if self._pool is None:
-            return None
-        return self._pool.submit(*cell, **limits)
+            table.defer(cell, searches.submit(_worker_exact_search, *cell, **limits).result)
 
 
 def _worker_exact_search(*args, **kwargs):
@@ -718,10 +689,11 @@ def table_build(
     """Evaluate every cell in the given ranges once, in ascending m, n, w and d; d
     defaults to all even d <= m*n.  A cell may read the m = 1 cell it embeds in.
 
-    Exact searches run on a SearchPool while the rules of the following cells
-    are evaluated.  A cell's search record is inserted before the cell is
-    next read, and all of them before this returns, so the records are the
-    same, in the same order, as when every search runs inline.
+    Exact searches run on a workers.fork_pool, one forked worker process per
+    usable CPU, while the rules of the following cells are evaluated.  A
+    cell's search record is inserted before the cell is next read, and all
+    of them before this returns, so the records are the same, in the same
+    order, as when every search runs inline.
     """
     table = BoundTable(references)
     ms, ns, ws = (sorted(set(values)) for values in (m_values, n_values, w_values))
@@ -731,13 +703,19 @@ def table_build(
         for m in ms for n in ns for w in ws if w <= n
         for d in (ds if ds is not None else range(2, m * n + 1, 2))
     ]
-    with SearchPool() as searches:
-        try:
-            for cell in cells:
-                evaluate_cell(table, *cell, node_budget=node_budget, vertex_cap=vertex_cap,
-                              searches=searches)
-        except Exception:
-            table.settle()  # an earlier cell's failed search raises first, as it would inline
-            raise
+    searches = None
+    if any(comb(n, w) ** m <= vertex_cap for m, n, _, w in cells):  # a cell may search
+        searches = workers.fork_pool(workers.usable_cpus())
+    try:
+        for cell in cells:
+            evaluate_cell(table, *cell, node_budget=node_budget, vertex_cap=vertex_cap,
+                          searches=searches)
+    except Exception:
+        table.settle()  # an earlier cell's failed search raises first, as it would inline
+        raise
+    else:
         table.settle()
+    finally:
+        if searches is not None:
+            workers.stop(searches)
     return table

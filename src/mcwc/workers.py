@@ -2,14 +2,12 @@
 
 Both size their workers by the CPUs this process may run on, so ``taskset``
 limits them alike.  Nothing here imports numpy, and ``multiprocessing`` is
-imported only when a pool starts.
+imported only when a pool is made.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from functools import partial
 
 
 def usable_cpus() -> int:
@@ -20,109 +18,41 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def fork_pool(processes: int, function) -> ForkPool | None:
-    """A ForkPool of `processes` workers that call `function`, or None where ``fork``
-    is not available."""
+def fork_pool(processes: int):
+    """A ProcessPoolExecutor of `processes` forked workers, or None for fewer than
+    two processes or where ``fork`` is not available.
+
+    The workers are forked at the first submit, so a pool that is never
+    used starts no process.  Being forked, they hold the parent's modules as
+    they stand then: a submitted module-level function that looks a name up
+    at call time finds what the parent put there, picklable or not.  An
+    exception in a worker is re-raised by its future with its own type, and
+    a worker that dies fails the pending futures with BrokenProcessPool.
+    Workers ignore SIGINT; pass the pool to `stop` on every exit path.
+    """
+    if processes < 2:
+        return None
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
-    return ForkPool(processes, function)
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        processes, mp_context=multiprocessing.get_context("fork"), initializer=_ignore_sigint
+    )
 
 
-class ForkPool:
-    """Calls of one function on forked worker processes, one call per worker at a time.
-
-    Workers are forked, not spawned, so `function` and what it looks up are
-    the parent's objects as they stand at the start, picklable or not, and no
-    worker imports anything again; only the arguments and the results (or
-    exceptions, re-raised here with their own type) go through pipes.  Each
-    worker has a pipe of its own and the parent starts no thread, so no lock
-    is shared and a worker stopped at any point blocks no one: calls are
-    handed out whenever the parent submits or waits for a result.  Workers
-    ignore SIGINT; ``close`` terminates and joins them.
-    """
-
-    def __init__(self, processes: int, function):
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        self._processes = []
-        self._idle = []  # pipes of the workers waiting for a call
-        self._busy = {}  # pipe -> number of the call its worker runs
-        self._queue = deque()  # (number, args, kwargs) of the calls not yet handed out
-        self._results = {}  # number -> (ok, result or exception)
-        self._calls = 0
-        try:
-            for _ in range(processes):
-                ours, theirs = context.Pipe()
-                process = context.Process(target=_serve, args=(theirs, function), daemon=True)
-                process.start()
-                theirs.close()  # so the workers forked later do not hold it open
-                self._processes.append(process)
-                self._idle.append(ours)
-        except BaseException:
-            self.close()
-            raise
-
-    def submit(self, *args, **kwargs):
-        """Queue function(*args, **kwargs); the returned callable waits for its result."""
-        number = self._calls
-        self._calls += 1
-        self._queue.append((number, args, kwargs))
-        self._pump(timeout=0)
-        return partial(self.result, number)
-
-    def result(self, number: int):
-        while number not in self._results:
-            self._pump(timeout=None)
-        ok, value = self._results.pop(number)
-        if not ok:
-            raise value
-        return value
-
-    def close(self) -> None:
-        for process in self._processes:
-            process.terminate()
-        for process in self._processes:
-            process.join()
-        for pipe in [*self._idle, *self._busy]:
-            pipe.close()
-
-    def _pump(self, timeout) -> None:
-        """Hand out queued calls to idle workers and collect the results ready within `timeout`."""
-        from multiprocessing.connection import wait
-
-        self._hand_out()
-        for pipe in wait(list(self._busy), timeout):
-            number = self._busy.pop(pipe)
-            try:
-                self._results[number] = pipe.recv()
-            except EOFError:
-                raise RuntimeError(f"a worker process ended during call {number}") from None
-            self._idle.append(pipe)
-        self._hand_out()
-
-    def _hand_out(self) -> None:
-        while self._idle and self._queue:
-            number, args, kwargs = self._queue.popleft()
-            pipe = self._idle.pop()
-            pipe.send((args, kwargs))
-            self._busy[pipe] = number
+def stop(pool) -> None:
+    """Terminate the pool's workers, running or idle, and join them and its threads."""
+    # _processes is the pool's own map of its workers (Python 3.14 adds
+    # terminate_workers() for this); it is empty until the first submit.
+    for process in list(pool._processes.values()):
+        process.terminate()
+    pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _serve(pipe, function) -> None:
-    """A worker: answer each (args, kwargs) from the pipe with (ok, result or exception)."""
+def _ignore_sigint() -> None:
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        try:
-            args, kwargs = pipe.recv()
-        except EOFError:
-            return
-        try:
-            reply = (True, function(*args, **kwargs))
-        except Exception as exc:
-            reply = (False, exc)
-        pipe.send(reply)

@@ -7,7 +7,10 @@ import multiprocessing
 import os
 import random
 import re
+import signal
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -869,7 +872,7 @@ def test_table_rows_same_on_one_worker_and_three(monkeypatch):
 
     three = build(3)
     assert not multiprocessing.active_children()
-    monkeypatch.setattr(workers, "fork_pool", no_pool)  # one CPU: every search inline
+    assert workers.fork_pool(1) is None  # one CPU: every search inline
     assert build(1) == three
     rows = [line.split(",")[:6] for line in three.splitlines()]
     for pinned in ("2,6,4,3,69,80", "2,7,4,3,185,245", "2,7,6,3,25,42"):
@@ -893,21 +896,40 @@ def test_table_searches_run_an_unpicklable_exact_search_in_workers(monkeypatch):
     assert not multiprocessing.active_children()
 
 
+@contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError, instead of hanging, if the block runs longer than `seconds`."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_table_search_error_in_worker_reaches_caller(monkeypatch):
+    real = bounds_mod.exact_search
+
     def failing(*args, **kwargs):
         raise SearchSpaceError(f"refused {args}")
 
-    def dying(*args, **kwargs):
-        os._exit(1)
+    def dying_in_second(*args, **kwargs):  # of the searches at (2,6,4,3), (2,6,6,3), (2,7,4,3), (2,7,6,3)
+        if args == (2, 6, 6, 3):
+            os._exit(1)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     monkeypatch.setattr(bounds_mod, "exact_search", failing)
-    with pytest.raises(SearchSpaceError, match=re.escape("refused (2, 6, 4, 3)")):
+    with deadline(60), pytest.raises(SearchSpaceError, match=re.escape("refused (2, 6, 4, 3)")):
         table_build([2], [6], [3], [4, 6], node_budget=2_000)
     assert not multiprocessing.active_children()
-    monkeypatch.setattr(bounds_mod, "exact_search", dying)
-    with pytest.raises(RuntimeError, match="a worker process ended during call"):
-        table_build([2], [6], [3], [4, 6], node_budget=2_000)
+    monkeypatch.setattr(bounds_mod, "exact_search", dying_in_second)
+    with deadline(60), pytest.raises(BrokenProcessPool):
+        table_build([2], [6, 7], [3], [4, 6], node_budget=2_000)
     assert not multiprocessing.active_children()
 
 
