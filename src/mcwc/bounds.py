@@ -14,7 +14,6 @@ lift noted in the record provenance.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,6 +99,19 @@ def _lift(d: int) -> tuple[int, str]:
 
 
 # ---------- recursive Johnson-style bounds ----------
+#
+# T(profile; d = 2u) is at most the least of an average-intersection closed form
+# and, for each block (n_i, w_i), shrink-weight: n_i/w_i times T with that block
+# made (n_i - 1, w_i - 1), and shrink-length: n_i/(n_i - w_i) times T with it
+# made (n_i - 1, w_i).  Every shrink step lowers the profile's total length by
+# one, so the engine works one length (a level) at a time and never recurses: a
+# top-down pass lists every level's profiles, and a bottom-up pass works out a
+# whole level's rows from the rows of the level below it.
+
+# The most weight profiles one batch may list; a batch past it is refused
+# before any row is worked out.
+JOHNSON_PROFILE_CAP = 1 << 19
+
 
 def johnson_homogeneous(m: int, n: int, d: int, w: int) -> BoundRecord:
     """Minimum over the shrink-weight / shrink-length recursions and the closed form.
@@ -107,9 +119,9 @@ def johnson_homogeneous(m: int, n: int, d: int, w: int) -> BoundRecord:
     Each shrink step takes all m blocks; the provenance names the normalised child cell.
     """
     d_eff, note = _lift(d)
-    value, (rule, _, shrunk) = _johnson_t(_normalize_profile(((n, w),)), d_eff // 2, m)
+    value, (rule, _, shrunk) = _johnson_bound(_normalize_profile(((n, w),)), d_eff // 2, m)
     if shrunk is not None:
-        inner = _johnson_t(_normalize_profile((shrunk,)), d_eff // 2, m)[0]
+        inner = _johnson_bound(_normalize_profile((shrunk,)), d_eff // 2, m)[0]
         rule = f"{rule} via ({m},{shrunk[0]},{d_eff},{shrunk[1]})<={inner}"
     return _record(m, n, d, w, "upper", value, f"johnson[{rule}]{note}")
 
@@ -125,64 +137,161 @@ Profile = tuple[tuple[int, int], ...]
 # (rule, block index, shrunk block) of a recursion step; no block for the rest.
 Tag = tuple[str, int | None, tuple[int, int] | None]
 
-# copies -> normalised profile -> (lo, row): row[u - lo] bounds the profile at
-# d = 2u for lo <= u <= W, its total weight; every larger u reads 1.  The values
-# depend on the keys and u alone, so one memo serves every caller in any order.
-_JOHNSON_ROWS: defaultdict[int, dict[Profile, tuple[int, list[int]]]] = defaultdict(dict)
+# (copies, normalised root) -> (lo, values, steps): values[u - lo] bounds the
+# root at d = 2u for lo <= u <= W, its total weight, and steps[u - lo] numbers
+# the step that gives it (see _step_tag); every larger u reads 1.  The values
+# depend on the key and u alone, so rows from any batch serve every caller.
+_JOHNSON_ROOTS: dict[tuple[int, Profile], tuple[int, list[int], list[int]]] = {}
 
 
-def _johnson_steps(parts: Profile, lo: int, copies: int) -> list[tuple[Tag, list[float]]]:
-    """Each recursion step from `parts` as (tag, bounds for u = lo..W).
+def _johnson_rows(
+    roots: Iterable[Profile], lo: int, copies: int
+) -> dict[Profile, tuple[list[int], list[int]]]:
+    """(values, steps) for u = lo..W of each normalised root, as _JOHNSON_ROOTS keeps them.
 
-    Each block of `parts` stands for `copies` equal blocks, and a shrink step
-    takes all of them: copies is 1 in the heterogeneous recursion and m in
-    the homogeneous one, whose profile is then its one block.  Steps come in
-    tie-break order: the closed form (inf where it does not apply), then
-    shrink-weight and shrink-length per block.  A block equal to the one
-    before it gives the same children, so it is skipped and ties keep the
-    first index.  Needs 2 <= lo <= W.
+    Each block of a profile stands for `copies` equal blocks, and a shrink step
+    takes all of them, with multiplier n_i^copies and divisor w_i^copies or
+    (n_i - w_i)^copies: copies is 1 in the heterogeneous recursion and m in the
+    homogeneous one, whose profile is then its one block.  Steps are numbered
+    in tie-break order, 0 for the closed form, 1 + 2i for shrink-weight of
+    block i and 2 + 2i for its shrink-length, and the first least value wins.
+    A block equal to the one before it gives the same children, so it is
+    skipped.  A child whose total weight is below lo reads 1 for every u >= lo
+    and is not listed.  Needs 2 <= lo <= W for every root; raises
+    SearchSpaceError once the batch lists more than JOHNSON_PROFILE_CAP profiles.
     """
-    weights = copies * sum(w_i for _, w_i in parts)
-    # u / (sum w_i^2/n_i - (W - u)), with numerator and divisor scaled by N.
-    total = math.prod(n_i for n_i, _ in parts)
-    base = copies * sum(w_i * w_i * (total // n_i) for n_i, w_i in parts) - weights * total
-    steps = [(("average-intersection closed form", None, None), [
-        u * total // den if (den := base + u * total) > 0 else INF
-        for u in range(lo, weights + 1)
-    ])]
-    rows = _JOHNSON_ROWS[copies]
-    for i, (n_i, w_i) in enumerate(parts):
-        if i and parts[i - 1] == parts[i]:
-            continue
-        rest = parts[:i] + parts[i + 1:]
-        scale = n_i**copies
-        # (rule, shrunk block, divisor of n_i * T(child) per copy), weight step first.
-        shrinks = [("shrink-weight", (n_i - 1, w_i - 1), w_i)] if w_i else []
-        shrinks.append(("shrink-length", (n_i - 1, min(w_i, n_i - 1 - w_i)), n_i - w_i))
-        for rule, block, divisor in shrinks:
-            divisor **= copies
-            child_weights = weights + copies * (block[1] - w_i)
-            inner = []
-            if child_weights >= lo:
-                child = list(rest)
-                if block[0]:
-                    insort(child, block)
-                child = tuple(child)
-                # A memoised row whose lower limit is above lo is worked out again.
-                hit = rows.get(child)
-                if hit is None or hit[0] > lo:
-                    hit = lo, list(map(min, *(b for _, b in _johnson_steps(child, lo, copies))))
-                    rows[child] = hit
-                child_lo, row = hit
-                inner = row[lo - child_lo:]
-            # T(child) is 1 above the child's total weight.
-            bounds = [scale * x // divisor for x in inner]
-            bounds += [scale // divisor] * (weights - max(child_weights, lo - 1))
-            steps.append(((rule, i, block), bounds))
-    return steps
+    import numpy as np  # imported on first use, as in mcwc.clique
+
+    roots = sorted(set(roots))
+    k = max(map(len, roots))
+    # A block is the code n * radix + w, and a profile the number whose k digits
+    # in `base` are its codes, sorted, zero blocks first; no step raises n or w.
+    # Keys and values pass to object (Python int) arrays past int64.
+    radix = 1 + max(w_i for parts in roots for _, w_i in parts)
+    base = (1 + max(n_i for parts in roots for n_i, _ in parts)) * radix
+    key_type = np.int64 if base**k < 2**63 else object
+    # No value, product or closed-form term passes `peak`: a child's binomials
+    # and lengths are at most its root's.
+    top = max(copies * sum(w_i for _, w_i in parts) for parts in roots)
+    peak = max(
+        max(parts)[0] ** copies * math.prod(comb(n_i, w_i) for n_i, w_i in parts) ** copies
+        + 3 * top * math.prod(n_i for n_i, _ in parts)
+        for parts in roots
+    )
+    value_type = np.int64 if peak < 2**63 else object
+
+    def encode(codes):
+        keys = np.zeros(len(codes), key_type)
+        for j in range(k):
+            keys = keys * base + codes[:, j].astype(key_type)
+        return keys
+
+    def blocks(keys):
+        codes = np.empty((len(keys), k), np.int64)
+        for j in range(k - 1, -1, -1):
+            codes[:, j] = keys % base
+            keys = keys // base
+        return codes // radix, codes % radix, codes
+
+    def steps(n, w):
+        """(number, block, where the step applies, child's new w) of each shrink step."""
+        for j in range(k):
+            first = n[:, j] > 0
+            if j:
+                first &= (n[:, j] != n[:, j - 1]) | (w[:, j] != w[:, j - 1])
+            yield 1 + 2 * j, j, first & (w[:, j] > 0), w[:, j] - 1
+            yield 2 + 2 * j, j, first, np.minimum(w[:, j], n[:, j] - 1 - w[:, j])
+
+    by_length = defaultdict(list)
+    for parts in roots:
+        by_length[sum(n_i for n_i, _ in parts)].append(parts)
+    # Top-down: per length, the sorted keys, each step's child row in the level
+    # below (-1 for a child that reads 1) and the roots' rows.
+    levels = []
+    pending = []  # (step, parent rows, child keys) of the level above
+    listed = 0
+    for length in range(max(by_length), 0, -1):
+        fresh = by_length.get(length, [])
+        codes = [[0] * (k - len(p)) + [n_i * radix + w_i for n_i, w_i in p] for p in fresh]
+        keys, where = np.unique(
+            np.concatenate([encode(np.array(codes, np.int64).reshape(-1, k)),
+                            *(child for _, _, child in pending)]),
+            return_inverse=True,
+        )
+        at = len(fresh)
+        for step, rows, child in pending:
+            levels[-1][1][rows, step] = where[at:at + len(child)]
+            at += len(child)
+        if not len(keys) and length < min(by_length):
+            break
+        listed += len(keys)
+        if listed > JOHNSON_PROFILE_CAP:
+            raise SearchSpaceError(
+                f"the Johnson bound lists over {listed} weight profiles, "
+                f"past the cap of {JOHNSON_PROFILE_CAP}"
+            )
+        n, w, codes = blocks(keys)
+        weight = copies * w.sum(axis=1)
+        pending = []
+        for step, j, valid, w_new in steps(n, w):
+            rows = np.flatnonzero(valid & (weight + copies * (w_new - w[:, j]) >= lo))
+            child = codes[rows]
+            child[:, j] = (n[rows, j] - 1) * radix + w_new[rows]
+            child.sort(axis=1)
+            pending.append((step, rows, encode(child)))
+        children = np.full((len(keys), 2 * k + 1), -1, np.int32)
+        levels.append((keys, children, list(zip(fresh, where[:len(fresh)]))))
+
+    # Bottom-up: each level from the rows of the one below, whose last row reads 1.
+    u = np.arange(lo, top + 1).astype(value_type)
+    below = np.ones((1, len(u)), value_type)
+    out = {}
+    for keys, children, here in reversed(levels):
+        n, w, _ = blocks(keys)
+        weight = copies * w.sum(axis=1)
+        nv, wv = n.astype(value_type), w.astype(value_type)
+        lengths = np.where(n > 0, nv, 1)
+        # u / (copies * sum w_i^2/n_i - (W - u)), numerator and divisor scaled
+        # by the product of the n_i.
+        total = lengths.prod(axis=1)
+        shift = copies * (wv * wv * (total[:, None] // lengths)).sum(axis=1) - weight * total
+        den = shift[:, None] + u * total[:, None]
+        have = den > 0
+        best = u * total[:, None] // np.where(have, den, 1)
+        tag = np.zeros(best.shape, np.intp)
+        for step, j, valid, _ in steps(n, w):
+            divisor = np.where(valid, wv[:, j] if step % 2 else nv[:, j] - wv[:, j], 1) ** copies
+            value = (nv[:, j] ** copies)[:, None] * below[children[:, step]] // divisor[:, None]
+            take = valid[:, None] & (~have | (value < best))
+            best = np.where(take, value, best)
+            tag[take] = step
+            have |= valid[:, None]
+        best[u > weight[:, None]] = 1
+        below = np.vstack([best, np.ones((1, len(u)), value_type)])
+        for parts, row in here:
+            end = copies * sum(w_i for _, w_i in parts) - lo + 1
+            pad = 2 * (k - len(parts))  # step numbers count the zero blocks
+            out[parts] = best[row, :end].tolist(), [s and s - pad for s in tag[row, :end].tolist()]
+    return out
 
 
-def _johnson_t(parts: Profile, u: int, copies: int) -> tuple[int, Tag]:
+def _johnson_solve(roots: Iterable[Profile], lo: int, copies: int) -> None:
+    """Work out the roots in one batch into _JOHNSON_ROOTS; needs 2 <= lo <= W for each."""
+    for parts, (values, steps) in _johnson_rows(roots, lo, copies).items():
+        _JOHNSON_ROOTS[copies, parts] = lo, values, steps
+
+
+def _step_tag(parts: Profile, step: int) -> Tag:
+    if step == 0:
+        return "average-intersection closed form", None, None
+    i, length = divmod(step - 1, 2)
+    n_i, w_i = parts[i]
+    if length:
+        return "shrink-length", i, (n_i - 1, min(w_i, n_i - 1 - w_i))
+    return "shrink-weight", i, (n_i - 1, w_i - 1)
+
+
+def _johnson_bound(parts: Profile, u: int, copies: int) -> tuple[int, Tag]:
     """(bound, tag of the deciding rule) at d = 2u; parts normalized."""
     weights = copies * sum(w_i for _, w_i in parts)
     if weights == 0:  # normalised blocks have w_i <= n_i/2: one word iff W = 0
@@ -192,23 +301,23 @@ def _johnson_t(parts: Profile, u: int, copies: int) -> tuple[int, Tag]:
         return count, ("membership count", None, None)
     if u > weights:
         return 1, ("distance exceeds diameter", None, None)
-    try:
-        steps = _johnson_steps(parts, u, copies)
-    except RecursionError as exc:  # the memo holds only rows whose recursion completed
-        raise SearchSpaceError(f"Johnson recursion for {parts} at d={2 * u} is too deep") from exc
-    best = min(bounds[0] for _, bounds in steps)
-    return best, next(tag for tag, bounds in steps if bounds[0] == best)
+    hit = _JOHNSON_ROOTS.get((copies, parts))
+    if hit is None or hit[0] > u:
+        _johnson_solve([parts], u, copies)
+        hit = _JOHNSON_ROOTS[copies, parts]
+    lo, values, steps = hit
+    return values[u - lo], _step_tag(parts, steps[u - lo])
 
 
 def johnson_general(profile: WeightProfile, d: int) -> BoundRecord:
     """Recursive bound for an arbitrary (possibly heterogeneous) weight profile.
 
-    Each shrink step takes one block.  Each normalised profile in the recursion
-    is worked out once for every d from the smallest one asked of it upward,
-    in integer arithmetic.
+    Each shrink step takes one block.  A profile not yet worked out for this d
+    is solved as a batch of one, for every d from this one upward, in integer
+    arithmetic; table_build solves all of its profiles in one batch first.
     """
     d_eff, note = _lift(d)
-    value, (rule, block, _) = _johnson_t(_normalize_profile(profile.parts), d_eff // 2, 1)
+    value, (rule, block, _) = _johnson_bound(_normalize_profile(profile.parts), d_eff // 2, 1)
     if block is not None:
         rule = f"{rule} block {block}"
     return BoundRecord(profile, d, "upper", value, f"johnson-general[{rule}]{note}")
@@ -693,7 +802,9 @@ def table_build(
     usable CPU, while the rules of the following cells are evaluated.  A
     cell's search record is inserted before the cell is next read, and all
     of them before this returns, so the records are the same, in the same
-    order, as when every search runs inline.
+    order, as when every search runs inline.  The cells' Johnson profiles are
+    worked out first, in one batch under one JOHNSON_PROFILE_CAP, so a table
+    past the cap raises SearchSpaceError before any cell is evaluated.
     """
     table = BoundTable(references)
     ms, ns, ws = (sorted(set(values)) for values in (m_values, n_values, w_values))
@@ -703,6 +814,14 @@ def table_build(
         for m in ms for n in ns for w in ws if w <= n
         for d in (ds if ds is not None else range(2, m * n + 1, 2))
     ]
+    # The johnson_general rows of every cell, in one batch from the smallest d asked.
+    asked = {
+        (_normalize_profile(((n, w),) * m), _lift(d)[0] // 2)
+        for m, n, d, w in cells
+        if 2 <= _lift(d)[0] // 2 <= m * min(w, n - w)
+    }
+    if asked:
+        _johnson_solve({parts for parts, _ in asked}, min(u for _, u in asked), 1)
     searches = None
     if any(comb(n, w) ** m <= vertex_cap for m, n, _, w in cells):  # a cell may search
         searches = workers.fork_pool(workers.usable_cpus())

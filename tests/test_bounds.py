@@ -226,7 +226,7 @@ def test_johnson_general_matches_reference_in_any_order():
         for d in range(-2, 2 * sum(n for n, _ in parts) + 3)
     ]
     random.Random(20141).shuffle(cases)
-    bounds_mod._JOHNSON_ROWS.clear()
+    bounds_mod._JOHNSON_ROOTS.clear()
     for parts, d in cases:
         assert johnson_general_pair(parts, d) == reference_johnson_general(parts, d), (parts, d)
 
@@ -271,7 +271,7 @@ def test_johnson_homogeneous_matches_reference_in_any_order():
     ]
     assert len(cells) == 24_800
     random.Random(20142).shuffle(cells)
-    bounds_mod._JOHNSON_ROWS.clear()
+    bounds_mod._JOHNSON_ROOTS.clear()
     for m, n, d, w in cells:
         rec = johnson_homogeneous(m, n, d, w)
         d_eff, _ = bounds_mod._lift(d)
@@ -287,13 +287,55 @@ def test_johnson_homogeneous_matches_reference_in_any_order():
 @pytest.mark.parametrize("parts", [((9, 4),) * 4] + list(HETEROGENEOUS_PROFILES[3:]))
 def test_johnson_general_sweep_order_does_not_matter(parts):
     top = 2 * sum(n for n, _ in parts) + 2
-    bounds_mod._JOHNSON_ROWS.clear()
+    bounds_mod._JOHNSON_ROOTS.clear()
     descending = [johnson_general_pair(parts, top - 4)]
     descending += [johnson_general_pair(parts, d) for d in range(top, -3, -1)]
-    bounds_mod._JOHNSON_ROWS.clear()
+    bounds_mod._JOHNSON_ROOTS.clear()
     ascending = [johnson_general_pair(parts, d) for d in range(-2, top + 1)]
     assert descending[1:] == ascending[::-1]
     assert descending[0] == ascending[top - 4 + 2]
+
+
+def test_johnson_engine_is_exact_past_int64():
+    # ((70,35),)'s shrink steps multiply past 2^63, the second profile's values
+    # pass it, and so do the keys of the third's 13 blocks (50^13); int64
+    # alone would wrap.
+    assert 70 * reference_johnson_t(((69, 34),), 4)[0] > 2**63
+    for parts in (((70, 35),), ((4, 2), (70, 35)), ((2, 1),) * 12 + ((9, 4),)):
+        bounds_mod._JOHNSON_ROOTS.clear()
+        for d in (4, 6, 8, 30, 68):
+            assert johnson_general_pair(parts, d) == reference_johnson_general(parts, d), (parts, d)
+    assert johnson_general(WeightProfile(((4, 2), (70, 35))), 4).value > 2**63
+
+
+# The johnson_general roots of the table m = 1..4, n = 2..9, w = 3,4 that need
+# the engine (total weight at least 2).
+GRID_RULES_ROOTS = sorted({
+    bounds_mod._normalize_profile(((n, w),) * m)
+    for m in range(1, 5) for n in range(2, 10) for w in (3, 4)
+    if m * min(w, n - w) >= 2
+})
+
+
+def test_johnson_rows_do_not_depend_on_the_batch():
+    alone = {}
+    for parts in GRID_RULES_ROOTS:
+        alone.update(bounds_mod._johnson_rows([parts], 2, 1))
+    for parts, (values, steps) in alone.items():
+        for u, (value, step) in enumerate(zip(values, steps), 2):
+            rule, block, _ = bounds_mod._step_tag(parts, step)
+            rule += "" if block is None else f" block {block}"
+            assert (value, rule) == reference_johnson_t(parts, 2 * u), (parts, u)
+    rng = random.Random(2019)
+    roots = list(GRID_RULES_ROOTS)
+    for _ in range(3):
+        rng.shuffle(roots)
+        assert bounds_mod._johnson_rows(roots, 2, 1) == alone
+        cuts = sorted(rng.sample(range(1, len(roots)), 4))
+        grouped = {}
+        for start, stop in zip([0, *cuts], [*cuts, len(roots)]):
+            grouped.update(bounds_mod._johnson_rows(roots[start:stop], 2, 1))
+        assert grouped == alone
 
 
 # ---------- power bounds ----------
@@ -523,21 +565,38 @@ def test_table_build_keeps_recursion_limit():
     assert sys.getrecursionlimit() == limit
 
 
-def test_too_deep_johnson_recursion_exits_2(capsys):
+def test_deep_johnson_cell_answers_and_wide_one_exits_2(capsys):
     from mcwc.cli import main
 
     limit = sys.getrecursionlimit()
-    bounds_mod._JOHNSON_ROWS.clear()
-    for argv in (["--m", "2", "--n", "500"], ["--m", "1", "--n", "1000"]):
-        status = main(["bound", *argv, "--d", "4", "--w", "2", "--vertex-cap", "0"])
-        err = capsys.readouterr().err
-        assert status == 2 and "SearchSpaceError" in err and "Traceback" not in err
+    bounds_mod._JOHNSON_ROOTS.clear()
+    # The engine works a level at a time, so depth costs no stack: A(1000,4,2) = 500.
+    assert main(["bound", "--m", "1", "--n", "1000", "--d", "4", "--w", "2", "--vertex-cap", "0"]) == 0
+    assert "upper=500 " in capsys.readouterr().out
+    # (2,500,2) lists more profiles than the cap allows.
+    status = main(["bound", "--m", "2", "--n", "500", "--d", "4", "--w", "2", "--vertex-cap", "0"])
+    err = capsys.readouterr().err
+    assert status == 2 and "Traceback" not in err and len(err.splitlines()) == 1
+    assert "SearchSpaceError: the Johnson bound lists over " in err
+    assert f"past the cap of {bounds_mod.JOHNSON_PROFILE_CAP}" in err
     assert sys.getrecursionlimit() == limit
-    # The failed runs memoised only rows whose recursion completed.
+    # The refused batch stored no rows.
+    assert (1, ((500, 2), (500, 2))) not in bounds_mod._JOHNSON_ROOTS
     for parts in (((6, 2), (7, 2)), ((7, 2), (7, 2)), ((9, 2),)):
         for d in (4, 6, 8):
             assert johnson_general_pair(parts, d) == reference_johnson_general(parts, d)
     assert johnson_homogeneous(2, 9, 4, 2).value == reference_johnson_homogeneous(2, 9, 4, 2)[0]
+    assert johnson_homogeneous(1, 2000, 4, 2).value == 1000
+
+
+def test_profile_cap_covers_a_tables_batch(monkeypatch):
+    # The grid_rules roots list 14,806 profiles in one batch and at most 11,936 alone.
+    monkeypatch.setattr(bounds_mod, "JOHNSON_PROFILE_CAP", 12_000)
+    bounds_mod._JOHNSON_ROOTS.clear()
+    with pytest.raises(SearchSpaceError, match="past the cap of 12000"):
+        table_build(range(1, 5), range(2, 10), [3, 4], vertex_cap=0)
+    for parts in GRID_RULES_ROOTS:
+        bounds_mod._johnson_rows([parts], 2, 1)
 
 
 def test_exact_search_vertex_cap():
