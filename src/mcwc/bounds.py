@@ -17,10 +17,10 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Callable, Iterable, TextIO
+from typing import Iterable, TextIO
 
 from . import designs as designs_mod
 from . import workers
@@ -38,9 +38,6 @@ from .constructions import (
     systematic_cwc_pool,
 )
 from .gf import field_for_order, prime_power
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 INF = math.inf
 
@@ -119,7 +116,11 @@ def johnson_homogeneous(m: int, n: int, d: int, w: int) -> BoundRecord:
     Each shrink step takes all m blocks; the provenance names the normalised child cell.
     """
     d_eff, note = _lift(d)
-    value, (rule, _, shrunk) = _johnson_bound(_normalize_profile(((n, w),)), d_eff // 2, m)
+    root = _normalize_profile(((n, w),))
+    # One batch for the root and both children its provenance may name.
+    children = [_normalize_profile((_step_tag(root, step)[2],)) for step in (1, 2) if root]
+    _johnson_solve([root, *children], d_eff // 2, m)
+    value, (rule, _, shrunk) = _johnson_bound(root, d_eff // 2, m)
     if shrunk is not None:
         inner = _johnson_bound(_normalize_profile((shrunk,)), d_eff // 2, m)[0]
         rule = f"{rule} via ({m},{shrunk[0]},{d_eff},{shrunk[1]})<={inner}"
@@ -276,9 +277,16 @@ def _johnson_rows(
 
 
 def _johnson_solve(roots: Iterable[Profile], lo: int, copies: int) -> None:
-    """Work out the roots in one batch into _JOHNSON_ROOTS; needs 2 <= lo <= W for each."""
-    for parts, (values, steps) in _johnson_rows(roots, lo, copies).items():
-        _JOHNSON_ROOTS[copies, parts] = lo, values, steps
+    """Work out in one batch into _JOHNSON_ROOTS those roots with 2 <= lo <= W
+    whose rows from lo it does not hold yet."""
+    cold = [
+        parts for parts in roots
+        if 2 <= lo <= copies * sum(w_i for _, w_i in parts)
+        and _JOHNSON_ROOTS.get((copies, parts), (lo + 1,))[0] > lo
+    ]
+    if cold:
+        for parts, (values, steps) in _johnson_rows(cold, lo, copies).items():
+            _JOHNSON_ROOTS[copies, parts] = lo, values, steps
 
 
 def _step_tag(parts: Profile, step: int) -> Tag:
@@ -301,11 +309,8 @@ def _johnson_bound(parts: Profile, u: int, copies: int) -> tuple[int, Tag]:
         return count, ("membership count", None, None)
     if u > weights:
         return 1, ("distance exceeds diameter", None, None)
-    hit = _JOHNSON_ROOTS.get((copies, parts))
-    if hit is None or hit[0] > u:
-        _johnson_solve([parts], u, copies)
-        hit = _JOHNSON_ROOTS[copies, parts]
-    lo, values, steps = hit
+    _johnson_solve([parts], u, copies)
+    lo, values, steps = _JOHNSON_ROOTS[copies, parts]
     return values[u - lo], _step_tag(parts, steps[u - lo])
 
 
@@ -602,58 +607,32 @@ class BoundTable:
     def __init__(self, references: ReferenceStore | None = None):
         self.references = references if references is not None else default_references()
         self.records: dict[tuple[int, int, int, int], list[BoundRecord]] = {}
-        # cell -> the pending result of its search on a worker, in the order deferred
-        self._pending: dict[tuple[int, int, int, int], Callable[[], BoundRecord]] = {}
+        # cell -> (value, provenance) of its best lower / upper record; the first of equals stands
+        self._lower: dict[tuple[int, int, int, int], tuple[float, str]] = {}
+        self._upper: dict[tuple[int, int, int, int], tuple[float, str]] = {}
 
     def insert(self, record: BoundRecord) -> None:
         cell = record.cell
-        self._settle(cell)
-        bucket = self.records.setdefault(cell, [])
-        bucket.append(record)
-        lo, lo_prov = self.best_lower(cell)
-        hi, hi_prov = self.best_upper(cell)
+        self.records.setdefault(cell, []).append(record)
+        if record.kind != "upper" and record.value > self.best_lower(cell)[0]:
+            self._lower[cell] = record.value, record.provenance
+        if record.kind != "lower" and record.value < self.best_upper(cell)[0]:
+            self._upper[cell] = record.value, record.provenance
+        (lo, lo_prov), (hi, hi_prov) = self.best_lower(cell), self.best_upper(cell)
         if lo > hi:
             raise ConsistencyError(
                 f"cell {cell}: lower {lo} ({lo_prov}) exceeds upper {hi} ({hi_prov})"
             )
 
-    def defer(self, cell, pending) -> None:
-        """Hold the pending result of the cell's search (``pending()`` waits for its
-        record); it is inserted before the cell is next read or written."""
-        self._pending[cell] = pending
-
-    def settle(self) -> None:
-        """Insert every pending search record, in the order the searches were deferred."""
-        while self._pending:
-            self._settle(next(iter(self._pending)))
-
-    def _settle(self, cell) -> None:
-        pending = self._pending.pop(cell, None)
-        if pending is not None:
-            self.insert(pending())
-
     def best_lower(self, cell) -> tuple[float, str]:
-        self._settle(cell)
-        best, prov = 0, "none"
-        for rec in self.records.get(cell, ()):
-            if rec.kind in ("lower", "exact") and rec.value > best:
-                best, prov = rec.value, rec.provenance
-        return best, prov
+        return self._lower.get(cell, (0, "none"))
 
     def best_upper(self, cell) -> tuple[float, str]:
-        self._settle(cell)
-        best, prov = INF, "none"
-        for rec in self.records.get(cell, ()):
-            if rec.kind in ("upper", "exact") and rec.value < best:
-                best, prov = rec.value, rec.provenance
-        return best, prov
+        return self._upper.get(cell, (INF, "none"))
 
     def exact_value(self, cell) -> int | None:
-        lo, _ = self.best_lower(cell)
-        hi, _ = self.best_upper(cell)
-        if lo == hi and hi != INF:
-            return int(lo)
-        return None
+        lo, hi = self.best_lower(cell)[0], self.best_upper(cell)[0]
+        return int(lo) if lo == hi != INF else None
 
     def cells(self) -> list[tuple[int, int, int, int]]:
         return sorted(self.records)
@@ -719,14 +698,12 @@ def evaluate_cell(
     d: int,
     w: int,
     *,
-    node_budget: int = TABLE_NODE_BUDGET,
     vertex_cap: int = TABLE_VERTEX_CAP,
-    searches: Executor | None = None,
-) -> None:
+) -> bool:
     """Apply the bound rules and constructions that can decide one cell, inserting records.
 
-    The exact search runs inline, or on a worker of `searches`; its record is then
-    deferred in the table until the cell is next read.
+    True when the cell is still open and its C(n,w)^m words are within
+    `vertex_cap`, so that an exact search (search_cells) may decide it.
     """
     cell_profile_count = comb(n, w) ** m
 
@@ -740,7 +717,7 @@ def evaluate_cell(
         table.insert(
             _record(m, n, d, w, "lower", cell_profile_count, "all profile words")
         )
-        return
+        return False
     power_exact = tightness_exact(m, n, d, w)
     if power_exact is not None:
         table.insert(power_exact)
@@ -769,18 +746,35 @@ def evaluate_cell(
             table.insert(eb_transfer(m, n, d, w, ref.lower, ref.source))
 
     # Exact search, budget permitting, unless the rules above pinned the cell.
-    cell = (m, n, d, w)
-    if cell_profile_count <= vertex_cap and table.exact_value(cell) is None:
-        upper, _ = table.best_upper(cell)
-        limits = {"node_budget": node_budget, "vertex_cap": vertex_cap, "upper": upper}
-        if searches is None:
-            table.insert(exact_search(m, n, d, w, **limits))
-        else:
-            table.defer(cell, searches.submit(_worker_exact_search, *cell, **limits).result)
+    return cell_profile_count <= vertex_cap and table.exact_value((m, n, d, w)) is None
+
+
+def search_cells(
+    table: BoundTable,
+    cells: Iterable[tuple[int, int, int, int]],
+    pool=None,
+    *,
+    node_budget: int = TABLE_NODE_BUDGET,
+    vertex_cap: int = TABLE_VERTEX_CAP,
+) -> None:
+    """Run each cell's exact search, bounded by its best upper bound when the cell
+    arrives, on a worker of `pool` (an Executor, as workers.fork_pool makes) or,
+    with no pool, in this process; insert the records in cell order once every
+    cell has arrived.  So `cells` may be a generator that evaluates the later
+    cells' rules while the searches run: its errors come before any search's,
+    and the searches' errors come in cell order.
+    """
+    results = []
+    for cell in cells:
+        search = partial(_worker_exact_search, *cell, node_budget=node_budget,
+                         vertex_cap=vertex_cap, upper=table.best_upper(cell)[0])
+        results.append(search if pool is None else pool.submit(search).result)
+    for result in results:
+        table.insert(result())
 
 
 def _worker_exact_search(*args, **kwargs):
-    """exact_search as this module names it when the worker calls it, so a worker
+    """exact_search as this module names it when it is called, so a worker
     runs a function put in its place (a tracing wrapper, say) as the parent would."""
     return exact_search(*args, **kwargs)
 
@@ -796,15 +790,18 @@ def table_build(
     vertex_cap: int = TABLE_VERTEX_CAP,
 ) -> BoundTable:
     """Evaluate every cell in the given ranges once, in ascending m, n, w and d; d
-    defaults to all even d <= m*n.  A cell may read the m = 1 cell it embeds in.
+    defaults to all even d <= m*n.
 
-    Exact searches run on a workers.fork_pool, one forked worker process per
-    usable CPU, while the rules of the following cells are evaluated.  A
-    cell's search record is inserted before the cell is next read, and all
-    of them before this returns, so the records are the same, in the same
-    order, as when every search runs inline.  The cells' Johnson profiles are
-    worked out first, in one batch under one JOHNSON_PROFILE_CAP, so a table
-    past the cap raises SearchSpaceError before any cell is evaluated.
+    Only an m > 1 cell reads another, the m = 1 cell it embeds in, so the m = 1
+    cells are one phase and the rest a second.  search_cells runs a phase's
+    searches on a workers.fork_pool, one forked worker per usable CPU, while
+    the phase's later cells are evaluated, and inserts their records in cell
+    order before the next phase: the records are those of a run with every
+    search in this process.  Errors come in the same order on one CPU as on
+    many: a rule's error before the phase's searches are read, and then the
+    searches' errors in cell order.  The cells' Johnson profiles are worked
+    out first, in one batch under one JOHNSON_PROFILE_CAP, so a table past
+    the cap raises SearchSpaceError before any cell is evaluated.
     """
     table = BoundTable(references)
     ms, ns, ws = (sorted(set(values)) for values in (m_values, n_values, w_values))
@@ -822,19 +819,14 @@ def table_build(
     }
     if asked:
         _johnson_solve({parts for parts, _ in asked}, min(u for _, u in asked), 1)
-    searches = None
+    pool = None
     if any(comb(n, w) ** m <= vertex_cap for m, n, _, w in cells):  # a cell may search
-        searches = workers.fork_pool(workers.usable_cpus())
+        pool = workers.fork_pool(workers.usable_cpus())
     try:
-        for cell in cells:
-            evaluate_cell(table, *cell, node_budget=node_budget, vertex_cap=vertex_cap,
-                          searches=searches)
-    except Exception:
-        table.settle()  # an earlier cell's failed search raises first, as it would inline
-        raise
-    else:
-        table.settle()
+        for phase in ([c for c in cells if c[0] == 1], [c for c in cells if c[0] > 1]):
+            open_cells = (c for c in phase if evaluate_cell(table, *c, vertex_cap=vertex_cap))
+            search_cells(table, open_cells, pool, node_budget=node_budget, vertex_cap=vertex_cap)
     finally:
-        if searches is not None:
-            workers.stop(searches)
+        if pool is not None:
+            workers.stop(pool)
     return table

@@ -30,6 +30,7 @@ from .bounds import (
     ReferenceStore,
     SearchSpaceError,
     evaluate_cell,
+    search_cells,
     table_build,
 )
 from .codes import (
@@ -322,8 +323,9 @@ def _cmd_bound(args) -> int:
     _check_cells([args.m], [args.n], [args.w])
     budget, cap = _search_limits(args, DEFAULT_NODE_BUDGET, DEFAULT_VERTEX_CAP)
     table = BoundTable(_references(args, inputs))
-    evaluate_cell(table, args.m, args.n, args.d, args.w, node_budget=budget, vertex_cap=cap)
     cell = (args.m, args.n, args.d, args.w)
+    if evaluate_cell(table, *cell, vertex_cap=cap):
+        search_cells(table, [cell], node_budget=budget, vertex_cap=cap)
     lo, lo_prov = table.best_lower(cell)
     hi, hi_prov = table.best_upper(cell)
     hi_txt = "inf" if hi == float("inf") else str(int(hi))

@@ -37,6 +37,7 @@ from mcwc.bounds import (
     johnson_closed_form,
     johnson_general,
     johnson_homogeneous,
+    search_cells,
     singleton_like,
     table_build,
     tightness_exact,
@@ -259,6 +260,17 @@ def reference_johnson_homogeneous(m, n, d, w):
         if val < best:
             best, rule = val, "average-intersection closed form"
     return best, rule
+
+
+def test_johnson_homogeneous_solves_once(monkeypatch):
+    # The root and the child its provenance names come from one batch.
+    rows, real = [], bounds_mod._johnson_rows
+    monkeypatch.setattr(bounds_mod, "_johnson_rows", lambda *args: rows.append(args) or real(*args))
+    bounds_mod._JOHNSON_ROOTS.clear()
+    rec = johnson_homogeneous(2, 9, 4, 2)
+    assert len(rows) == 1
+    assert (rec.value, rec.provenance) == (162, "johnson[shrink-weight via (2,8,4,1)<=8]")
+    assert johnson_homogeneous(2, 9, 4, 2) == rec and len(rows) == 1
 
 
 def test_johnson_homogeneous_matches_reference_in_any_order():
@@ -544,14 +556,19 @@ def test_evaluate_cell_skips_search_on_pinned_cell(monkeypatch):
     monkeypatch.setattr(bounds_mod, "exact_search", no_search)
     table = BoundTable()
     for cell in ((3, 3, 4, 1), (1, 4, 2, 2), (2, 3, 2, 1)):
-        evaluate_cell(table, *cell)
+        assert evaluate_cell(table, *cell) is False
         assert table.exact_value(cell) is not None
+
+
+def evaluate_and_search(table, *cell, **limits):
+    """evaluate_cell, then the cell's search when it leaves the cell open, as `bound` runs them."""
+    search_cells(table, [cell] if evaluate_cell(table, *cell) else [], **limits)
 
 
 def test_evaluate_cell_search_meets_upper_bound():
     table = BoundTable()
-    evaluate_cell(table, 2, 6, 4, 2, node_budget=20_000)
     cell = (2, 6, 4, 2)
+    evaluate_and_search(table, *cell, node_budget=20_000)
     assert table.exact_value(cell) == 45
     _, lo_prov = table.best_lower(cell)
     assert lo_prov.startswith("clique-search[met upper bound")
@@ -640,8 +657,8 @@ def test_trivial_upper_computed_embedding_decides_cell():
     # (2,4,6,2) embeds in the (1,8,6,4) cell, whose search completes at 2.
     cell = (2, 4, 6, 2)
     table = BoundTable()
-    evaluate_cell(table, 1, 8, 6, 4)
-    evaluate_cell(table, *cell)
+    evaluate_and_search(table, 1, 8, 6, 4)
+    assert evaluate_cell(table, *cell) is False
     assert table.exact_value(cell) == 2
     assert table.best_upper(cell)[1] == (
         "constant-weight embedding[computed clique-search[complete, nodes=1]]"
@@ -649,14 +666,14 @@ def test_trivial_upper_computed_embedding_decides_cell():
     assert not any(r.provenance.startswith("clique-search") for r in table.records[cell])
 
     alone = BoundTable()
-    evaluate_cell(alone, *cell)
+    evaluate_and_search(alone, *cell)
     assert alone.exact_value(cell) == 2
     assert alone.best_upper(cell)[1] == "clique-search[complete, nodes=1]"
 
 
 # Every record evaluate_cell inserts, in order, for one cell per rule that can
 # decide a cell; the cells come from the grid_rules grid (--vertex-cap 0), and
-# (2,4,6,2) runs a search.
+# (2,4,6,2) is left open, so search_cells then adds its search record.
 PINNED_RECORDS = {
     # all profile words
     (1, 3, 2, 3): [
@@ -761,7 +778,10 @@ PINNED_RECORDS = {
 @pytest.mark.parametrize("cell", list(PINNED_RECORDS))
 def test_evaluate_cell_records_pinned(cell):
     table = BoundTable()
-    evaluate_cell(table, *cell, **({} if cell == (2, 4, 6, 2) else {"vertex_cap": 0}))
+    if cell == (2, 4, 6, 2):
+        evaluate_and_search(table, *cell)
+    else:
+        assert evaluate_cell(table, *cell, vertex_cap=0) is False
     got = [(r.kind, r.value, r.provenance) for r in table.records[cell]]
     assert got == PINNED_RECORDS[cell]
 
@@ -841,10 +861,47 @@ def test_table_consistency_tripwire():
         table.insert(BoundRecord(profile, 4, "upper", 3, "unit"))
 
 
+def scanned_best(records, kind, better, start):
+    """The best (value, provenance) of the records, by the scan BoundTable once made per read."""
+    best, prov = start, "none"
+    for rec in records:
+        if rec.kind in (kind, "exact") and better(rec.value, best):
+            best, prov = rec.value, rec.provenance
+    return best, prov
+
+
+def test_table_keeps_best_bounds_on_insert():
+    rng = random.Random(20)
+    profile = WeightProfile.homogeneous(2, 4, 2)
+    cell = (2, 4, 4, 2)
+    raised = 0
+    for trial in range(400):
+        table, records = BoundTable(), []
+        for i in range(rng.randint(1, 12)):
+            kind = rng.choice(("lower", "upper", "exact"))
+            value = math.inf if kind == "upper" and rng.random() < 0.2 else rng.randint(0, 5)
+            rec = BoundRecord(profile, 4, kind, value, f"rule {trial}.{i}")
+            records.append(rec)
+            lo, lo_prov = scanned_best(records, "lower", lambda a, b: a > b, 0)
+            hi, hi_prov = scanned_best(records, "upper", lambda a, b: a < b, math.inf)
+            if lo > hi:
+                text = f"cell {cell}: lower {lo} ({lo_prov}) exceeds upper {hi} ({hi_prov})"
+                with pytest.raises(ConsistencyError, match=f"^{re.escape(text)}$"):
+                    table.insert(rec)
+                raised += 1
+            else:
+                table.insert(rec)
+            assert table.records[cell] == records
+            assert table.best_lower(cell) == (lo, lo_prov)
+            assert table.best_upper(cell) == (hi, hi_prov)
+            assert table.exact_value(cell) == (int(lo) if lo == hi != math.inf else None)
+    assert raised > 100
+
+
 def test_evaluate_cell_headline():
     table = BoundTable()
-    evaluate_cell(table, 2, 4, 4, 2)
     cell = (2, 4, 4, 2)
+    evaluate_and_search(table, *cell)
     assert table.exact_value(cell) == 12
     lo, lo_prov = table.best_lower(cell)
     assert lo == 12 and "clique-search" in lo_prov
@@ -925,17 +982,22 @@ def no_pool(*args):
 
 
 def test_table_rows_same_on_one_worker_and_three(monkeypatch):
-    def build(cpus):
+    def build(*ranges, cpus=3, **limits):
         monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
-        return _csv(table_build([1, 2], [6, 7], [3], [4, 6], node_budget=20_000))
+        return _csv(table_build(*ranges, **limits))
 
-    three = build(3)
+    three = build([1, 2], [6, 7], [3], [4, 6], node_budget=20_000)
     assert not multiprocessing.active_children()
     assert workers.fork_pool(1) is None  # one CPU: every search inline
-    assert build(1) == three
+    assert build([1, 2], [6, 7], [3], [4, 6], node_budget=20_000, cpus=1) == three
     rows = [line.split(",")[:6] for line in three.splitlines()]
     for pinned in ("2,6,4,3,69,80", "2,7,4,3,185,245", "2,7,6,3,25,42"):
         assert pinned.split(",") in rows
+    # (2,4,6,2) reads the m = 1 cell (1,8,6,4), which a search decides.
+    three = build([1, 2], [4, 8], [2, 4], [6])
+    assert build([1, 2], [4, 8], [2, 4], [6], cpus=1) == three
+    assert '2,4,6,2,2,2,1,"pseudo-product(cwc(4,4,2)^2^1 x sys(2,2)^2^1)",' \
+        '"constant-weight embedding[computed clique-search[complete, nodes=1]]"' in three.splitlines()
 
 
 def test_table_searches_run_an_unpicklable_exact_search_in_workers(monkeypatch):
@@ -992,8 +1054,38 @@ def test_table_search_error_in_worker_reaches_caller(monkeypatch):
     assert not multiprocessing.active_children()
 
 
+def test_table_rule_error_comes_before_search_errors(monkeypatch):
+    real = bounds_mod.tightness_exact
+
+    def failing_search(*args, **kwargs):
+        raise SearchSpaceError(f"refused {args}")
+
+    def failing_rule(*cell):  # at (2,6,6,3), after (2,6,4,3) has handed out its search
+        if cell == (2, 6, 6, 3):
+            raise RuntimeError(f"rule failed at {cell}")
+        return real(*cell)
+
+    monkeypatch.setattr(bounds_mod, "exact_search", failing_search)
+    monkeypatch.setattr(bounds_mod, "tightness_exact", failing_rule)
+    for cpus in (1, 2):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        with deadline(60), pytest.raises(RuntimeError, match=re.escape("rule failed at (2, 6, 6, 3)")):
+            table_build([2], [6], [3], [4, 6], node_budget=2_000)
+        assert not multiprocessing.active_children()
+
+
 def test_table_without_searches_starts_no_pool(monkeypatch):
     monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     monkeypatch.setattr(workers, "fork_pool", no_pool)
     table = table_build([1, 2], [6, 7], [3], [4, 6], vertex_cap=0)
     assert len(table.cells()) == 8
+
+
+def test_bound_searches_without_a_pool(monkeypatch, capsys):
+    from mcwc.cli import main
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "fork_pool", no_pool)
+    assert main(["bound", "--m", "2", "--n", "4", "--d", "6", "--w", "2"]) == 0
+    assert "upper_provenance=clique-search[complete, nodes=1]" in capsys.readouterr().out
+    assert not multiprocessing.active_children()
