@@ -11,9 +11,21 @@ Inside ``max_clique`` the vertex at position i of the degree order sits at bit
 V-1-i, so the next vertex to colour is the highest set bit of the candidate
 mask.  ``int.bit_length()`` finds it in O(1), as CPython reads only the top
 digit, where isolating the lowest bit (``x & -x``) costs two big-int
-operations that each allocate and walk every digit.  With each vertex's bit
-and the mask of its non-neighbours (itself excluded) precomputed, one coloured
-vertex costs two big-int operations.  Callers never see this numbering.
+operations that each allocate and walk every digit.  The vertex is named by
+that bit length, V-i, so ``x.bit_length()`` is the vertex itself and the
+per-vertex bit and non-neighbour masks are indexed by it.  Callers never see
+this naming.
+
+A node at clique size c, with incumbent best, colours its candidates class by
+class in the fixed order, but keeps only the vertices of colour
+kmin = best - c + 1 and up: a vertex of lower colour cannot lead to a clique
+larger than best, and best only grows while the node's frame is open.  A
+vertex below kmin costs two big-int operations (an XOR that takes it out of
+the candidates, an AND with its non-neighbour mask) and a ``bit_length``
+call; a kept vertex costs the same and two list appends.  Most nodes of a
+budget-limited search keep none or a few of the dozens of vertices they
+colour, and the kept vertices and their order are those of a search that
+recorded every class.
 
 The result records why the search stopped:
 
@@ -103,48 +115,60 @@ def max_clique(
         return CliqueResult(0, (), "done", 0)
 
     # Relabel by non-increasing degree; better coloring bounds come first.
-    # Position i of that order is vertex i here, held at bit n-1-i.
+    # Position i of that order is named n-i here and held at bit n-1-i, so
+    # x.bit_length() names the vertex at the top bit of x.  Index 0 of the
+    # per-vertex lists below names no vertex.
     order = sorted(range(n), key=lambda v: (-adjacency[v].bit_count(), v))
-    pos = {v: i for i, v in enumerate(order)}
-    adj = _relabel(adjacency, order[::-1])[::-1]
+    adj = [0] + _relabel(adjacency, order[::-1])
 
     seed = _greedy_clique(adjacency, order)
     best = len(seed)
-    best_members = [pos[v] for v in seed]
+    name = {v: n - i for i, v in enumerate(order)}
+    best_members = [name[v] for v in seed]
 
     def result(stop_reason: str, nodes: int) -> CliqueResult:
-        members = tuple(sorted(order[i] for i in best_members))
+        members = tuple(sorted(order[n - v] for v in best_members))
         return CliqueResult(best, members, stop_reason, nodes)
 
     if best >= target:
         return result("target", 0)
 
-    # vertex_at[x.bit_length()] is the vertex at the top bit of x.  Frames hold
-    # many vertex ids, and sharing one int object per vertex (ints above 256
-    # are not cached) halves the search's memory.  excl[v] holds every vertex
-    # but v and its neighbours.  It is kept non-negative: CPython copies a
-    # negative int to two's complement on every AND, which made the search
-    # 14% slower on the budget-limited (2,6..7,4..6,3) cells.
-    vertex_at = list(range(n, -1, -1))
-    bit = [1 << (n - 1 - v) for v in range(n)]
+    # excl[v] holds every vertex but v and its neighbours.  It is kept
+    # non-negative: CPython copies a negative int to two's complement on every
+    # AND, which made the search 14% slower on the budget-limited
+    # (2,6..7,4..6,3) cells.
+    bit = [0] + [1 << (v - 1) for v in range(1, n + 1)]
     full = (1 << n) - 1
     excl = [full ^ (row | b) for row, b in zip(adj, bit)]
 
-    def color_sort(cand: int) -> tuple[list[int], list[int]]:
-        """Greedy coloring of the candidate set; returns vertices and their color counts.
+    def color_sort(cand: int, kmin: int) -> tuple[list[int], list[int]]:
+        """Greedy coloring of the candidate set; returns the vertices of colors
+        kmin and up, and their color counts.
 
         Vertices come out grouped by color class, so bounds[i] (the number of
         classes used up to and including vertex i) is an upper bound on any
-        clique inside the candidates up to that point.
+        clique inside the candidates up to that point.  Classes below kmin
+        are colored, as they decide what the later classes hold, but not
+        returned: their vertices could not pass the branch test.
         """
+        for _ in range(1, kmin):
+            v = cand.bit_length()
+            cand ^= bit[v]
+            available = cand & excl[v]
+            while available:
+                v = available.bit_length()
+                cand ^= bit[v]
+                available &= excl[v]
+            if not cand:
+                return [], []
         vertices: list[int] = []
         bounds: list[int] = []
-        color = 0
+        color = max(kmin - 1, 0)
         while cand:
             color += 1
             available = cand
             while available:
-                v = vertex_at[available.bit_length()]
+                v = available.bit_length()
                 vertices.append(v)
                 bounds.append(color)
                 available &= excl[v]
@@ -154,14 +178,16 @@ def max_clique(
     # One branch frame per clique vertex: the parent's candidate set, its
     # coloring and the index of the vertex being branched on.  Candidates are
     # tried from the last (highest color) down, and a frame ends as soon as
-    # its color bound cannot beat the incumbent.
+    # its color bound cannot beat the incumbent.  That incumbent only grows
+    # while a frame is open, so color_sort leaves out the classes that could
+    # not beat it when the frame was colored.
     clique: list[int] = []
     frames: list[tuple[int, list[int], list[int], int]] = []
-    cand = (1 << n) - 1
+    cand = full
     nodes = 1
     if nodes > node_budget:
         return result("budget", nodes)
-    vertices, bounds = color_sort(cand)
+    vertices, bounds = color_sort(cand, best + 1)
     i = len(vertices) - 1
     while True:
         if i >= 0 and len(clique) + bounds[i] > best:
@@ -174,7 +200,7 @@ def max_clique(
                     return result("budget", nodes)
                 frames.append((cand, vertices, bounds, i))
                 cand = sub
-                vertices, bounds = color_sort(cand)
+                vertices, bounds = color_sort(cand, best - len(clique) + 1)
                 i = len(vertices) - 1
                 continue
             if len(clique) > best:

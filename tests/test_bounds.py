@@ -503,6 +503,21 @@ def test_search_meets_upper_bound_at_pinned_node_count():
     assert len(witness.words) == 45 and verify_code(witness).passed
 
 
+@pytest.mark.parametrize(
+    "cell,upper,value,why",
+    [
+        ((3, 4, 6, 2), math.inf, 12, "complete, nodes=17011"),
+        ((3, 6, 10, 2), math.inf, 4, "complete, nodes=28621"),
+        ((3, 6, 4, 1), 36, 36, "met upper bound, nodes=81573"),
+    ],
+)
+def test_acceptance_grid_searches_at_pinned_node_counts(cell, upper, value, why):
+    # The acceptance grid's three largest completed searches, at its budget and
+    # with the upper bound the table hands them: the node counts pin the visit order.
+    rec = exact_search(*cell, node_budget=200_000, upper=upper)
+    assert (rec.value, rec.provenance) == (value, f"clique-search[{why}]")
+
+
 def test_exact_search_stops_at_upper_bound():
     full = exact_search(2, 6, 4, 2, node_budget=20_000)
     met = exact_search(2, 6, 4, 2, node_budget=20_000, upper=45)

@@ -190,11 +190,28 @@ def reference_max_clique(
 
 
 @pytest.mark.parametrize("n", [1, 2, 20, 40, 70, 120])
-@pytest.mark.parametrize("p", [0.1, 0.5, 0.8, 0.9])
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.8, 0.9, 0.95, 0.97])
 def test_search_path_matches_reference(n, p):
     # Equal node counts under every budget and target mean that the same
     # vertices were coloured and branched on in the same order.
     adj = random_adjacency(n, p, n * 100 + int(p * 10))
     for budget in (0, 1, 3, 50, math.inf):
         for target in (1, 4, math.inf):
+            assert max_clique(adj, budget, target) == reference_max_clique(adj, budget, target)
+
+
+def test_search_path_matches_reference_on_a_table_graph():
+    # The neighbourhood graph of cell (2,6,4,3), V = 381, as the table searches
+    # it.  Its nodes colour many classes below the incumbent's reach, which
+    # random graphs of p <= 0.9 seldom do.
+    import numpy as np
+
+    from mcwc.bounds import _adjacency, _profile_vertices
+
+    words = _profile_vertices(2, 6, 3)
+    neighbours = words[np.bitwise_count(words ^ words[0]).sum(axis=1) >= 4]
+    adj = _adjacency(neighbours, 4)
+    assert len(adj) == 381
+    for budget in (0, 1, 100, 3000):
+        for target in (79, math.inf):
             assert max_clique(adj, budget, target) == reference_max_clique(adj, budget, target)
