@@ -243,13 +243,18 @@ def _johnson_rows(
         children = np.full((len(keys), 2 * k + 1), -1, np.int32)
         levels.append((keys, children, list(zip(fresh, where[:len(fresh)]))))
 
-    # Bottom-up: each level from the rows of the one below, whose last row reads 1.
-    u = np.arange(lo, top + 1).astype(value_type)
-    below = np.ones((1, len(u)), value_type)
+    # Bottom-up: each level from the rows of the one below, whose last row reads
+    # 1.  A level works out only the columns u up to its heaviest profile: every
+    # later column reads 1, in the level below as here.
+    below = np.ones((1, 0), value_type)
     out = {}
     for keys, children, here in reversed(levels):
         n, w, _ = blocks(keys)
         weight = copies * w.sum(axis=1)
+        u = np.arange(lo, weight.max(initial=lo - 1) + 1).astype(value_type)
+        if below.shape[1] < len(u):
+            below = np.hstack([below, np.ones((len(below), len(u) - below.shape[1]), value_type)])
+        below = below[:, :len(u)]
         nv, wv = n.astype(value_type), w.astype(value_type)
         lengths = np.where(n > 0, nv, 1)
         # u / (copies * sum w_i^2/n_i - (W - u)), numerator and divisor scaled
@@ -654,21 +659,46 @@ class BoundTable:
 # ---------- construction providers for table cells ----------
 
 @lru_cache(maxsize=None)
+def _cwc_pool(n: int, w: int) -> tuple[BinaryCode, ...]:
+    return tuple(systematic_cwc_pool(n, w))
+
+
+@lru_cache(maxsize=None)
+def _binary_pool(m: int) -> tuple[BinaryCode, ...]:
+    return tuple(systematic_binary_pool(m))
+
+
+@lru_cache(maxsize=None)
+def _rs_outer(q: int, length: int, d: int):
+    return reed_solomon(field_for_order(q), length, d)
+
+
+@lru_cache(maxsize=None)
 def _construction_candidates(m: int, n: int, w: int) -> tuple[tuple[int, int, str], ...]:
-    """(size, guarantee, provenance) of the shape's design, pseudo-product, concatenation codes."""
+    """(size, guarantee, provenance) of the shape's design, pseudo-product, concatenation codes.
+
+    The ingredients are built once per process and shared by every shape:
+    the constant-weight pool per (n, w), the systematic pool per m, each
+    Reed-Solomon outer code per (q, m, d2), and (in mcwc.constructions) each
+    ingredient's systematic encoder.  A pseudo-product or concatenation whose
+    guaranteed distance is at most 2 is not built, as evaluate_cell decides
+    every cell with d_eff <= 2 before it reads a construction; its key is not
+    entered in `built`, so the first of equal records still stands.
+    """
     results = []
     if w == m and n == m * m and prime_power(m) is not None:
         results.append(designs_mod.design_to_mcwc(designs_mod.affine_plane(m)))
     if w == 2 and n == 2 * m and n >= 4:
         results.append(designs_mod.design_to_mcwc(designs_mod.one_factorization(n)))
     built = set()  # ingredient distances and sizes fix a record: the first success stands
-    pool = systematic_cwc_pool(n, w)
+    pool = _cwc_pool(n, w)
     for cwc in pool:
         k1 = len(cwc.words).bit_length() - 1
-        for sysc in systematic_binary_pool(m):
+        for sysc in _binary_pool(m):
             k2 = len(sysc.words).bit_length() - 1
             key = (cwc.claimed_distance, k1, sysc.claimed_distance, k2)
-            if k1 * k2 <= 0 or (1 << (k1 * k2)) > CONSTRUCTION_SIZE_CAP or key in built:
+            if (k1 * k2 <= 0 or (1 << (k1 * k2)) > CONSTRUCTION_SIZE_CAP or key in built
+                    or cwc.claimed_distance * sysc.claimed_distance <= 2):
                 continue
             try:
                 results.append(pseudo_product(cwc, sysc))
@@ -682,11 +712,11 @@ def _construction_candidates(m: int, n: int, w: int) -> tuple[tuple[int, int, st
         )
         if q is None or m > q + 1:
             continue
-        field = field_for_order(q)
         for d2 in range(1, m + 1):
             key = (q, d2, inner.claimed_distance)
-            if q ** (m - d2 + 1) <= CONSTRUCTION_SIZE_CAP and key not in built:
-                results.append(concatenate(reed_solomon(field, m, d2), inner))
+            if (q ** (m - d2 + 1) <= CONSTRUCTION_SIZE_CAP and key not in built
+                    and inner.claimed_distance * d2 > 2):
+                results.append(concatenate(_rs_outer(q, m, d2), inner))
                 built.add(key)
     return tuple((r.size, r.guaranteed_distance, r.provenance) for r in results)
 

@@ -366,10 +366,14 @@ def verify_code(code: Code) -> VerificationReport:
         want = [w_i for _, w_i in code.profile.parts]
         ends = np.cumsum([0] + [n_i for n_i, _ in code.profile.parts])
         got = np.empty((len(code.words), len(want)), dtype=np.int64)
-        for rows in _tiles(len(code.words), code.length):  # ones[:, j]: a word's ones before column j
-            bits = np.pad(np.unpackbits(code.words[rows], axis=1, count=code.length), ((0, 0), (1, 0)))
-            ones = np.cumsum(bits, axis=1, dtype=np.min_scalar_type(code.length))
-            got[rows] = np.diff(ones[:, ends], axis=1)
+        tiles = _tiles(len(code.words), code.length)
+        # ones[r, j]: the ones of a tile's word r before column j; column 0 stays zero.
+        ones = np.zeros((tiles[0].stop, code.length + 1), dtype=np.min_scalar_type(code.length))
+        for rows in tiles:
+            count = rows.stop - rows.start
+            bits = np.unpackbits(code.words[rows], axis=1, count=code.length)
+            np.cumsum(bits, axis=1, dtype=ones.dtype, out=ones[:count, 1:])
+            got[rows] = np.diff(ones[:count, ends], axis=1)
         # nonzero lists the (word, block) entries in row-major order.
         bad_words, bad_blocks = np.nonzero(got != want)
         violations = [

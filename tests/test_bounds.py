@@ -329,6 +329,20 @@ GRID_RULES_ROOTS = sorted({
 })
 
 
+def test_johnson_rows_of_light_and_heavy_roots_in_one_batch():
+    # A level works out only the columns up to its heaviest profile; a light
+    # root's level and the heavy root's children still give every u right.
+    roots = [((9, 4),) * 4, ((3, 1),), ((2, 1), (3, 1)), ((9, 4),)]
+    rows = bounds_mod._johnson_rows(roots, 2, 1)
+    assert sorted(rows) == sorted(roots)
+    for parts, (values, steps) in rows.items():
+        assert len(values) == len(steps) == sum(w_i for _, w_i in parts) - 1
+        for u, (value, step) in enumerate(zip(values, steps), 2):
+            rule, block, _ = bounds_mod._step_tag(parts, step)
+            rule += "" if block is None else f" block {block}"
+            assert (value, rule) == reference_johnson_t(parts, 2 * u), (parts, u)
+
+
 def test_johnson_rows_do_not_depend_on_the_batch():
     alone = {}
     for parts in GRID_RULES_ROOTS:
@@ -801,6 +815,14 @@ def test_evaluate_cell_records_pinned(cell):
     assert got == PINNED_RECORDS[cell]
 
 
+def clear_construction_caches():
+    """Empty every cache of the table's construction layer, as in a fresh process."""
+    for cache in (bounds_mod._construction_candidates, bounds_mod._cwc_pool,
+                  bounds_mod._binary_pool, bounds_mod._rs_outer,
+                  constructions_mod._systematic_encoder):
+        cache.cache_clear()
+
+
 def test_each_witness_built_once(monkeypatch):
     pools, witnesses = [], []
 
@@ -815,14 +837,14 @@ def test_each_witness_built_once(monkeypatch):
     pool, rs = bounds_mod.systematic_cwc_pool, bounds_mod.rs_mcwc
     monkeypatch.setattr(bounds_mod, "systematic_cwc_pool", counted_pool)
     monkeypatch.setattr(bounds_mod, "rs_mcwc", counted_rs)
-    bounds_mod._construction_candidates.cache_clear()
+    clear_construction_caches()
     ms, ns, ws = (1, 2, 3), range(2, 10), (1, 2, 3)
     table = table_build(ms, ns, ws, vertex_cap=0)
 
-    # One ingredient pool per shape whose cells reach the construction rules
-    # (every cell past d = 2).
+    # One ingredient pool per (n, w) whose cells reach the construction rules
+    # (every cell past d = 2), however many m share it.
     shapes = {(m, n, w) for m, n, d, w in table.cells() if d > 2}
-    assert sorted(pools) == sorted((n, w) for _, n, w in shapes)
+    assert sorted(pools) == sorted({(n, w) for _, n, w in shapes})
     # rs_mcwc runs only for the records it yields, at most once per cell.
     built = sorted(
         rec.cell for cell in table.cells() for rec in table.records[cell]
@@ -830,6 +852,48 @@ def test_each_witness_built_once(monkeypatch):
     )
     assert len(built) >= 10
     assert sorted(witnesses) == built and len(set(built)) == len(built)
+
+
+GRID_RULES = ((1, 2, 3, 4), range(2, 10), (3, 4))
+
+
+def test_systematic_set_searched_once_per_ingredient(monkeypatch):
+    searched = []  # the codes themselves, so that no id is reused
+    real = constructions_mod.find_systematic_set
+    monkeypatch.setattr(constructions_mod, "find_systematic_set",
+                        lambda code: searched.append(code) or real(code))
+    clear_construction_caches()
+    table_build(*GRID_RULES, vertex_cap=0)
+    assert len(searched) >= 20
+    assert len({id(code) for code in searched}) == len(searched)
+
+
+def test_no_construction_of_distance_two_or_less_is_built(monkeypatch):
+    guarantees = []
+
+    def counted(build):
+        def run(*args):
+            result = build(*args)
+            guarantees.append(result.guaranteed_distance)
+            return result
+        return run
+
+    monkeypatch.setattr(bounds_mod, "pseudo_product", counted(bounds_mod.pseudo_product))
+    monkeypatch.setattr(bounds_mod, "concatenate", counted(bounds_mod.concatenate))
+    clear_construction_caches()
+    table_build(*GRID_RULES, vertex_cap=0)
+    assert len(guarantees) >= 100 and min(guarantees) > 2
+
+
+def test_construction_caches_do_not_leak_between_tables():
+    later = ((2, 3), range(4, 9), (2, 3))
+    clear_construction_caches()
+    table_build(*GRID_RULES, vertex_cap=0)
+    after_other = table_build(*later, vertex_cap=0)
+    clear_construction_caches()
+    fresh = table_build(*later, vertex_cap=0)
+    assert after_other.records == fresh.records
+    assert after_other.cells() == fresh.cells() and len(fresh.cells()) > 50
 
 
 def test_evaluate_cell_distance_two_needs_no_witness(monkeypatch):
