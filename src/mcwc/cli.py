@@ -438,10 +438,8 @@ def _cmd_puf_sim(args) -> int:
         dev = device_load(args.load_device)
         inputs.append(args.load_device)
     else:
-        dev = device_new(
-            code.profile.m, code.profile.parts[0][0], (args.mu0, args.mu1),
-            s_eps=args.s_eps, seed=args.seed, noise_sigma=args.noise,
-        )
+        dev = device_new(code.profile.m, code.profile.parts[0][0], (args.mu0, args.mu1),
+                         s_eps=args.s_eps, seed=args.seed)
     sweep = reliability_sweep(dev, code, args.noise, args.trials, seed=args.seed)
 
     counts = Counter(p.distance for p in sweep.pairs if p.usable)

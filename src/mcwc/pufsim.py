@@ -1,4 +1,4 @@
-"""Loop-PUF delay simulation: challenge-response generation and reliability sweeps.
+"""Loop-PUF delay simulation: flip rates of pairs of control words under measurement noise.
 
 The device is an m x n grid of delay elements.  Element (i, j) under control
 bit b contributes mu[i, b] + eps[i, j, b]: a row-and-bit average delay shared
@@ -67,9 +67,7 @@ def _quantize(x: np.ndarray) -> np.ndarray:
     return np.round(np.asarray(x, dtype=float) / QUANTUM) * QUANTUM
 
 
-def _check_noise_and_seed(noise_sigma: float, seed: int) -> None:
-    if not 0.0 <= noise_sigma < math.inf:
-        raise ModelError(f"noise scale must be finite and nonnegative, got {noise_sigma}")
+def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ModelError(f"seed must be nonnegative, got {seed}")
 
@@ -80,7 +78,6 @@ class DelayModel:
 
     mu: np.ndarray  # (m, 2): average delay of a row element under bit 0 / bit 1
     eps: np.ndarray  # (m, n, 2): per-element offsets, fixed for the device lifetime
-    noise_sigma: float  # default per-measurement noise scale
     seed: int
 
     @property
@@ -92,30 +89,24 @@ class DelayModel:
         return self.eps.shape[1]
 
 
-def _frozen_model(mu: np.ndarray, eps: np.ndarray, noise_sigma: float, seed: int) -> DelayModel:
+def _frozen_model(mu: np.ndarray, eps: np.ndarray, seed: int) -> DelayModel:
     if not (np.isfinite(mu).all() and np.isfinite(eps).all()):
         raise ModelError("delays must be finite")
-    model = DelayModel(mu, eps, float(noise_sigma), int(seed))
+    model = DelayModel(mu, eps, int(seed))
     model.mu.setflags(write=False)
     model.eps.setflags(write=False)
     return model
 
 
-def device_new(
-    m: int,
-    n: int,
-    mu_spec=1.0,
-    s_eps: float = 1e-3,
-    seed: int = 0,
-    noise_sigma: float = 0.0,
-) -> DelayModel:
+def device_new(m: int, n: int, mu_spec=1.0, s_eps: float = 1e-3, seed: int = 0) -> DelayModel:
     """Draw one device.  mu_spec is deterministic: a scalar, a (mu0, mu1) pair,
-    or a full (m, 2) array; eps is seed-dependent with scale s_eps."""
+    or a full (m, 2) array; eps is seed-dependent with scale s_eps.  The device
+    holds no noise scale: a sweep takes its noise from the caller."""
     if m < 1 or n < 1:
         raise ModelError(f"bad grid {m} x {n}")
     if not 0.0 <= s_eps < math.inf:
         raise ModelError(f"offset scale must be finite and nonnegative, got {s_eps}")
-    _check_noise_and_seed(noise_sigma, seed)
+    _check_seed(seed)
     spec = np.asarray(mu_spec, dtype=float)
     if spec.ndim == 0:
         mu = np.full((m, 2), float(spec))
@@ -126,7 +117,7 @@ def device_new(
     else:
         raise ModelError(f"mu_spec shape {spec.shape} not scalar, (2,) or ({m}, 2)")
     eps = _rng(seed).normal(0.0, 1.0, size=(m, n, 2)) * s_eps if s_eps > 0 else np.zeros((m, n, 2))
-    return _frozen_model(_quantize(mu), _quantize(eps), noise_sigma, seed)
+    return _frozen_model(_quantize(mu), _quantize(eps), seed)
 
 
 def word_matrix(dev: DelayModel, code: BinaryCode, word: np.ndarray) -> np.ndarray:
@@ -165,34 +156,6 @@ def deterministic_difference(dev: DelayModel, bits_u: np.ndarray, bits_v: np.nda
     wu = [int(x) for x in np.asarray(bits_u).sum(axis=1)]
     wv = [int(x) for x in np.asarray(bits_v).sum(axis=1)]
     return mu_delay(dev, wu) - mu_delay(dev, wv)
-
-
-@dataclass(frozen=True, slots=True)
-class ChallengeResponse:
-    u_index: int
-    v_index: int
-    response: int | None  # +1 / -1, or None for an unusable (tied) pair
-    usable: bool
-
-
-def generate_crps(dev: DelayModel, code: BinaryCode) -> list[ChallengeResponse]:
-    """All |C|(|C|-1) ordered pairs with noise-free reference responses.
-
-    Exact zero differences are flagged unusable instead of being signed; a
-    real enrollment would discard such pairs.
-    """
-    delays = [measure_delay(dev, word_matrix(dev, code, wd)) for wd in code.words]
-    out = []
-    for i in range(len(delays)):
-        for j in range(len(delays)):
-            if i == j:
-                continue
-            diff = delays[i] - delays[j]
-            if diff == 0.0:
-                out.append(ChallengeResponse(i, j, None, False))
-            else:
-                out.append(ChallengeResponse(i, j, 1 if diff > 0 else -1, True))
-    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,7 +211,9 @@ def check_sweep_size(word_count: int, trials: int) -> None:
 def _sweep(dev, code, noise_sigma, trials, seed, workers) -> SweepResult:
     """reliability_sweep on at most `workers` threads."""
     check_sweep_size(len(code.words), trials)
-    _check_noise_and_seed(noise_sigma, seed)
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ModelError(f"noise scale must be finite and nonnegative, got {noise_sigma}")
+    _check_seed(seed)
     words = code.words
     delays = np.array([measure_delay(dev, word_matrix(dev, code, wd)) for wd in words])
     first, second = np.triu_indices(len(words), 1)  # the pairs in combinations order
@@ -313,13 +278,11 @@ def _count_flips(jobs, refs, noise_sigma, trials, seed, workers) -> np.ndarray:
     with ThreadPoolExecutor(workers, thread_name_prefix="mcwc-sweep") as pool:
         futures = [pool.submit(work) for _ in range(workers)]
         try:
-            errors = [f.exception() for f in futures]
-        except BaseException:  # interrupted while waiting: stop the workers early too
+            for future in futures:
+                future.result()
+        except BaseException:  # stop the others at their next block; the pool waits for them
             failed.set()
             raise
-    for exc in errors:
-        if exc is not None:
-            raise exc
     return counts
 
 
@@ -419,7 +382,6 @@ def device_save(path, dev: DelayModel) -> None:
         "n": dev.n,
         "mu": dev.mu.tolist(),
         "eps": dev.eps.tolist(),
-        "noise_sigma": dev.noise_sigma,
         "seed": dev.seed,
     }
     with open(path, "w") as f:
@@ -427,6 +389,7 @@ def device_save(path, dev: DelayModel) -> None:
 
 
 def device_load(path) -> DelayModel:
+    """Read a device_save file; the noise_sigma entry that older versions wrote is ignored."""
     import json
 
     with open(path) as f:
@@ -435,7 +398,6 @@ def device_load(path) -> DelayModel:
             m, n = payload["m"], payload["n"]
             mu = np.array(payload["mu"], dtype=float)
             eps = np.array(payload["eps"], dtype=float)
-            noise_sigma = float(payload["noise_sigma"])
             seed = int(payload["seed"])
         except KeyError as exc:
             raise ModelError(f"device file {path} has no {exc} entry") from None
@@ -443,5 +405,5 @@ def device_load(path) -> DelayModel:
             raise ModelError(f"device file {path} is malformed: {exc}") from None
     if mu.shape != (m, 2) or eps.shape != (m, n, 2):
         raise ModelError("device file shapes are inconsistent")
-    _check_noise_and_seed(noise_sigma, seed)
-    return _frozen_model(mu, eps, noise_sigma, seed)
+    _check_seed(seed)
+    return _frozen_model(mu, eps, seed)

@@ -323,6 +323,28 @@ def test_puf_sim_device_round_trip(tmp_path, capsys):
     assert rows1 == rows2
 
 
+def test_legacy_device_file_loads(tmp_path, capsys):
+    # Files from older versions carry a noise_sigma entry, which the sweep never read.
+    (tmp_path / "code.txt").write_text(INPUT_FILES["puf_code.txt"])
+    sweep = ["puf-sim", "--code", str(tmp_path / "code.txt"), "--trials", "100", "--seed", "3"]
+    device, legacy = tmp_path / "device.json", tmp_path / "legacy.json"
+    status, _, _ = run(sweep + ["--save-device", str(device), "--out", str(tmp_path / "new.csv")],
+                       capsys)
+    assert status == 0
+    payload = json.loads(device.read_text())
+    assert list(payload) == ["m", "n", "mu", "eps", "seed"]
+    # The key order that older versions wrote.
+    payload = {**payload, "noise_sigma": 0.001, "seed": payload["seed"]}
+    legacy.write_text(json.dumps(payload))
+    for path in (device, legacy):
+        status, _, _ = run(sweep + ["--load-device", str(path), "--out", str(tmp_path / f"{path.stem}.csv")],
+                           capsys)
+        assert status == 0
+    rows = [[l for l in (tmp_path / f"{name}.csv").read_text().splitlines() if not l.startswith("# manifest")]
+            for name in ("new", "device", "legacy")]
+    assert rows[0] == rows[1] == rows[2] and "pair_index,distance,flip_rate" in rows[0]
+
+
 def test_construct_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for out in (a, b):
