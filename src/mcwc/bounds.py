@@ -669,42 +669,32 @@ def _binary_pool(m: int) -> tuple[BinaryCode, ...]:
 
 
 @lru_cache(maxsize=None)
-def _rs_outer(q: int, length: int, d: int):
-    return reed_solomon(field_for_order(q), length, d)
-
-
-@lru_cache(maxsize=None)
 def _construction_candidates(m: int, n: int, w: int) -> tuple[tuple[int, int, str], ...]:
-    """(size, guarantee, provenance) of the shape's design, pseudo-product, concatenation codes.
+    """(size, guarantee, provenance) of the shape's design codes and of the
+    pseudo-products and concatenations that can be a cell's best lower record.
 
-    The ingredients are built once per process and shared by every shape:
-    the constant-weight pool per (n, w), the systematic pool per m, each
-    Reed-Solomon outer code per (q, m, d2), and (in mcwc.constructions) each
-    ingredient's systematic encoder.  A pseudo-product or concatenation whose
-    guaranteed distance is at most 2 is not built, as evaluate_cell decides
-    every cell with d_eff <= 2 before it reads a construction; its key is not
-    entered in `built`, so the first of equal records still stands.
+    Each pseudo-product and concatenation of the ingredient pools is planned
+    as (size, guarantee, build) before any is built.  A plan is built only
+    when its guarantee is above 2, as evaluate_cell decides every cell with
+    d_eff <= 2 before it reads a construction, and when no other plan
+    dominates it: one with at least its guarantee and more words, or as many
+    words and an earlier place in the list.  A dominated code never wins a
+    cell, where the first of equal records stands.  The ingredient pools are
+    built once per process and shared by every shape.
     """
     results = []
     if w == m and n == m * m and prime_power(m) is not None:
         results.append(designs_mod.design_to_mcwc(designs_mod.affine_plane(m)))
     if w == 2 and n == 2 * m and n >= 4:
         results.append(designs_mod.design_to_mcwc(designs_mod.one_factorization(n)))
-    built = set()  # ingredient distances and sizes fix a record: the first success stands
+    plans = []
     pool = _cwc_pool(n, w)
     for cwc in pool:
-        k1 = len(cwc.words).bit_length() - 1
         for sysc in _binary_pool(m):
-            k2 = len(sysc.words).bit_length() - 1
-            key = (cwc.claimed_distance, k1, sysc.claimed_distance, k2)
-            if (k1 * k2 <= 0 or (1 << (k1 * k2)) > CONSTRUCTION_SIZE_CAP or key in built
-                    or cwc.claimed_distance * sysc.claimed_distance <= 2):
-                continue
-            try:
-                results.append(pseudo_product(cwc, sysc))
-            except ConstructionError:
-                continue
-            built.add(key)
+            k = (len(cwc.words).bit_length() - 1) * (len(sysc.words).bit_length() - 1)
+            if 0 < k and 1 << k <= CONSTRUCTION_SIZE_CAP:
+                plans.append((1 << k, cwc.claimed_distance * sysc.claimed_distance,
+                              lambda cwc=cwc, sysc=sysc: pseudo_product(cwc, sysc)))
     for inner in pool:
         q = max(
             (x for x in range(2, len(inner.words) + 1) if prime_power(x) is not None),
@@ -713,11 +703,16 @@ def _construction_candidates(m: int, n: int, w: int) -> tuple[tuple[int, int, st
         if q is None or m > q + 1:
             continue
         for d2 in range(1, m + 1):
-            key = (q, d2, inner.claimed_distance)
-            if (q ** (m - d2 + 1) <= CONSTRUCTION_SIZE_CAP and key not in built
-                    and inner.claimed_distance * d2 > 2):
-                results.append(concatenate(_rs_outer(q, m, d2), inner))
-                built.add(key)
+            if q ** (m - d2 + 1) <= CONSTRUCTION_SIZE_CAP:
+                plans.append((q ** (m - d2 + 1), inner.claimed_distance * d2,
+                              lambda inner=inner, q=q, d2=d2:
+                              concatenate(reed_solomon(field_for_order(q), m, d2), inner)))
+    for i, (size, guarantee, build) in enumerate(plans):
+        if guarantee > 2 and not any(
+            g >= guarantee and (s > size or s == size and j < i)
+            for j, (s, g, _) in enumerate(plans)
+        ):
+            results.append(build())
     return tuple((r.size, r.guaranteed_distance, r.provenance) for r in results)
 
 

@@ -225,23 +225,8 @@ def _cmd_construct(args) -> int:
 
 # ---------- verify ----------
 
-# Most word pairs one verify call checks.
-MAX_VERIFY_PAIRS = 1_000_000_000
-
-
-def check_verify_pairs(word_count: int) -> None:
-    """Refuse a code with more than MAX_VERIFY_PAIRS pairs of words to check."""
-    pairs = word_count * (word_count - 1) // 2
-    if pairs > MAX_VERIFY_PAIRS:
-        raise UsageError(
-            f"{word_count} words give {pairs} pairs to verify, over the cap of "
-            f"{MAX_VERIFY_PAIRS}"
-        )
-
-
 def _cmd_verify(args) -> int:
     code = code_read_path(args.file)
-    check_verify_pairs(len(code.words))
     if args.d is not None or args.profile is not None:
         claimed = args.d if args.d is not None else code.claimed_distance
         if isinstance(code, BinaryCode):

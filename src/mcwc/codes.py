@@ -349,14 +349,30 @@ def indicator_words(code: QaryCode):
     return pack_tiles(len(code.words), q * length, lambda rows: code.words[rows, :, None] == symbols)
 
 
+# Most word pairs one verify_code call checks.
+MAX_VERIFY_PAIRS = 1_000_000_000
+
+
+def check_verify_pairs(word_count: int) -> None:
+    """Refuse a code with more than MAX_VERIFY_PAIRS pairs of words to check."""
+    pairs = word_count * (word_count - 1) // 2
+    if pairs > MAX_VERIFY_PAIRS:
+        raise CodeError(
+            f"{word_count} words give {pairs} pairs to verify, over the cap of "
+            f"{MAX_VERIFY_PAIRS}"
+        )
+
+
 def verify_code(code: Code) -> VerificationReport:
     """Exhaustively verify distance claim and (for binary codes) profile weights.
 
     closest_pair is the lexicographically first pair (i, j), i < j, at the
-    minimum distance.
+    minimum distance.  A code of more than MAX_VERIFY_PAIRS pairs is refused
+    before any is checked.
     """
     import numpy as np
 
+    check_verify_pairs(len(code.words))
     if len(code.words) == 0:
         raise CodeError("cannot verify an empty code")
 

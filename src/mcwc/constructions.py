@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .codes import (
     MAX_INDICATOR_BITS,
@@ -122,14 +121,8 @@ def concatenate(outer: QaryCode, inner: BinaryCode) -> ConstructionResult:
 
 # ---------- pseudo-product ----------
 
-@lru_cache(maxsize=None)
 def _systematic_encoder(code: BinaryCode, what: str):
-    """(weights, table): table[p @ weights] is the 0/1 codeword reading p on the systematic set.
-
-    Cached per code object and label (codes hash by identity), so an
-    ingredient that meets many others is searched for its systematic set
-    once; both arrays are read-only, as every later call shares them.
-    """
+    """(weights, table): table[p @ weights] is the 0/1 codeword reading p on the systematic set."""
     import numpy as np
 
     coords = find_systematic_set(code)
@@ -139,7 +132,6 @@ def _systematic_encoder(code: BinaryCode, what: str):
     weights = 1 << np.arange(len(coords))
     table = np.empty_like(bits)
     table[bits[:, coords] @ weights] = bits
-    weights.flags.writeable = table.flags.writeable = False
     return weights, table
 
 

@@ -78,7 +78,6 @@ class DelayModel:
 
     mu: np.ndarray  # (m, 2): average delay of a row element under bit 0 / bit 1
     eps: np.ndarray  # (m, n, 2): per-element offsets, fixed for the device lifetime
-    seed: int
 
     @property
     def m(self) -> int:
@@ -89,10 +88,10 @@ class DelayModel:
         return self.eps.shape[1]
 
 
-def _frozen_model(mu: np.ndarray, eps: np.ndarray, seed: int) -> DelayModel:
+def _frozen_model(mu: np.ndarray, eps: np.ndarray) -> DelayModel:
     if not (np.isfinite(mu).all() and np.isfinite(eps).all()):
         raise ModelError("delays must be finite")
-    model = DelayModel(mu, eps, int(seed))
+    model = DelayModel(mu, eps)
     model.mu.setflags(write=False)
     model.eps.setflags(write=False)
     return model
@@ -117,7 +116,7 @@ def device_new(m: int, n: int, mu_spec=1.0, s_eps: float = 1e-3, seed: int = 0) 
     else:
         raise ModelError(f"mu_spec shape {spec.shape} not scalar, (2,) or ({m}, 2)")
     eps = _rng(seed).normal(0.0, 1.0, size=(m, n, 2)) * s_eps if s_eps > 0 else np.zeros((m, n, 2))
-    return _frozen_model(_quantize(mu), _quantize(eps), seed)
+    return _frozen_model(_quantize(mu), _quantize(eps))
 
 
 def word_matrix(dev: DelayModel, code: BinaryCode, word: np.ndarray) -> np.ndarray:
@@ -382,14 +381,13 @@ def device_save(path, dev: DelayModel) -> None:
         "n": dev.n,
         "mu": dev.mu.tolist(),
         "eps": dev.eps.tolist(),
-        "seed": dev.seed,
     }
     with open(path, "w") as f:
         json.dump(payload, f)
 
 
 def device_load(path) -> DelayModel:
-    """Read a device_save file; the noise_sigma entry that older versions wrote is ignored."""
+    """Read a device_save file; the noise_sigma and seed entries of older versions are ignored."""
     import json
 
     with open(path) as f:
@@ -398,12 +396,10 @@ def device_load(path) -> DelayModel:
             m, n = payload["m"], payload["n"]
             mu = np.array(payload["mu"], dtype=float)
             eps = np.array(payload["eps"], dtype=float)
-            seed = int(payload["seed"])
         except KeyError as exc:
             raise ModelError(f"device file {path} has no {exc} entry") from None
         except (TypeError, ValueError) as exc:
             raise ModelError(f"device file {path} is malformed: {exc}") from None
     if mu.shape != (m, 2) or eps.shape != (m, n, 2):
         raise ModelError("device file shapes are inconsistent")
-    _check_seed(seed)
-    return _frozen_model(mu, eps, seed)
+    return _frozen_model(mu, eps)

@@ -5,6 +5,8 @@ lines and runtimes.  The full-grid consistency criterion dominates the
 runtime (a few minutes at the default search budget).
 """
 
+import hashlib
+import io
 import time
 from contextlib import contextmanager
 from itertools import combinations, product
@@ -192,6 +194,11 @@ def test_criterion_6_full_grid_consistency():
             if inner is not None and n - w >= 1:
                 assert value <= (n**m * inner) // ((n - w) ** m)
         assert len(exacts) >= 200
+        # Every bound and provenance of the grid, as `table --m 1..3 --n 2..8 --w 1..3` writes them.
+        csv = io.StringIO()
+        table.write_csv(csv)
+        digest = hashlib.sha256(csv.getvalue().encode()).hexdigest()
+        assert digest == "cdc91afe9043cd84c989c651e7b5ecf328ebf1545fec99824fa3b0075c26571d"
     print(f"  grid cells: 300, exact cells: {len(exacts)}")
 
 

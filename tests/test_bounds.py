@@ -44,6 +44,7 @@ from mcwc.bounds import (
     trivial_upper,
 )
 from mcwc.codes import BinaryCode, WeightProfile, verify_code
+from mcwc.gf import field_for_order, prime_power
 
 
 # ---------- recursive bounds ----------
@@ -715,7 +716,6 @@ PINNED_RECORDS = {
         ('exact', 2, 'power-exact[q=2, s=1; witness rs-expand(q=2, len=3, d=3, w=3)]'),
         ('lower', 1, 'single word'),
         ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(1,1)^2^1)'),
-        ('lower', 2, 'concatenation(outer=(1,1)_2, inner=cwc(6,6,3))'),
     ],
     # RS lower, s > m
     (1, 6, 4, 3): [
@@ -725,10 +725,6 @@ PINNED_RECORDS = {
         ('lower', 4, 'rs-expand(q=2, len=3, d=2, w=3)'),
         ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(1,1)^2^1)'),
         ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^2 x sys(1,1)^2^1)'),
-        ('lower', 2, 'pseudo-product(cwc(6,4,3)^2^1 x sys(1,1)^2^1)'),
-        ('lower', 2, 'concatenation(outer=(1,1)_2, inner=cwc(6,6,3))'),
-        ('lower', 4, 'concatenation(outer=(1,1)_4, inner=cwc(6,4,3))'),
-        ('lower', 2, 'concatenation(outer=(1,1)_2, inner=cwc(6,4,3))'),
         ('lower', 4, 'cwc-reference[A(6,4,3)>=4, exhaustive-search]'),
     ],
     # design
@@ -742,18 +738,14 @@ PINNED_RECORDS = {
         ('upper', 3, 'johnson-general[average-intersection closed form]'),
         ('lower', 1, 'single word'),
         ('lower', 2, 'pseudo-product(cwc(8,8,4)^2^1 x sys(1,1)^2^1)'),
-        ('lower', 2, 'concatenation(outer=(1,1)_2, inner=cwc(8,8,4))'),
     ],
     # concatenation
     (4, 6, 10, 3): [
         ('upper', 200, 'johnson-general[shrink-weight block 0]'),
         ('lower', 1, 'single word'),
         ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(4,4)^2^1)'),
-        ('lower', 8, 'pseudo-product(cwc(6,6,3)^2^1 x sys(4,2)^2^3)'),
         ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^2 x sys(4,4)^2^1)'),
-        ('lower', 2, 'pseudo-product(cwc(6,4,3)^2^1 x sys(4,4)^2^1)'),
         ('lower', 16, 'concatenation(outer=(4,3)_4, inner=cwc(6,4,3))'),
-        ('lower', 4, 'concatenation(outer=(4,4)_4, inner=cwc(6,4,3))'),
     ],
     # cwc-reference
     (1, 8, 4, 4): [
@@ -762,30 +754,16 @@ PINNED_RECORDS = {
         ('lower', 1, 'single word'),
         ('lower', 2, 'pseudo-product(cwc(8,8,4)^2^1 x sys(1,1)^2^1)'),
         ('lower', 8, 'pseudo-product(cwc(8,4,4)^2^3 x sys(1,1)^2^1)'),
-        ('lower', 4, 'pseudo-product(cwc(8,4,4)^2^2 x sys(1,1)^2^1)'),
-        ('lower', 2, 'concatenation(outer=(1,1)_2, inner=cwc(8,8,4))'),
-        ('lower', 8, 'concatenation(outer=(1,1)_8, inner=cwc(8,4,4))'),
-        ('lower', 4, 'concatenation(outer=(1,1)_4, inner=cwc(8,4,4))'),
         ('lower', 14, 'cwc-reference[A(8,4,4)>=14, exhaustive-search]'),
     ],
     # size-transfer
     (2, 6, 4, 3): [
         ('upper', 80, 'johnson-general[shrink-weight block 0]'),
         ('lower', 1, 'single word'),
-        ('lower', 8, 'pseudo-product(cwc(6,2,3)^2^3 x sys(2,2)^2^1)'),
         ('lower', 4, 'pseudo-product(cwc(6,6,3)^2^1 x sys(2,1)^2^2)'),
         ('lower', 2, 'pseudo-product(cwc(6,6,3)^2^1 x sys(2,2)^2^1)'),
         ('lower', 16, 'pseudo-product(cwc(6,4,3)^2^2 x sys(2,1)^2^2)'),
         ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^2 x sys(2,2)^2^1)'),
-        ('lower', 4, 'pseudo-product(cwc(6,4,3)^2^1 x sys(2,1)^2^2)'),
-        ('lower', 2, 'pseudo-product(cwc(6,4,3)^2^1 x sys(2,2)^2^1)'),
-        ('lower', 8, 'concatenation(outer=(2,2)_8, inner=cwc(6,2,3))'),
-        ('lower', 4, 'concatenation(outer=(2,1)_2, inner=cwc(6,6,3))'),
-        ('lower', 2, 'concatenation(outer=(2,2)_2, inner=cwc(6,6,3))'),
-        ('lower', 16, 'concatenation(outer=(2,1)_4, inner=cwc(6,4,3))'),
-        ('lower', 4, 'concatenation(outer=(2,2)_4, inner=cwc(6,4,3))'),
-        ('lower', 4, 'concatenation(outer=(2,1)_2, inner=cwc(6,4,3))'),
-        ('lower', 2, 'concatenation(outer=(2,2)_2, inner=cwc(6,4,3))'),
         ('lower', 53, 'size-transfer[A(12,4,6)>=121, published-table]'),
     ],
     # single word
@@ -798,7 +776,6 @@ PINNED_RECORDS = {
         ('upper', 3, 'johnson-general[average-intersection closed form]'),
         ('lower', 1, 'single word'),
         ('lower', 2, 'pseudo-product(cwc(4,4,2)^2^1 x sys(2,2)^2^1)'),
-        ('lower', 2, 'concatenation(outer=(2,2)_2, inner=cwc(4,4,2))'),
         ('exact', 2, 'clique-search[complete, nodes=1]'),
     ],
 }
@@ -818,8 +795,7 @@ def test_evaluate_cell_records_pinned(cell):
 def clear_construction_caches():
     """Empty every cache of the table's construction layer, as in a fresh process."""
     for cache in (bounds_mod._construction_candidates, bounds_mod._cwc_pool,
-                  bounds_mod._binary_pool, bounds_mod._rs_outer,
-                  constructions_mod._systematic_encoder):
+                  bounds_mod._binary_pool):
         cache.cache_clear()
 
 
@@ -857,32 +833,76 @@ def test_each_witness_built_once(monkeypatch):
 GRID_RULES = ((1, 2, 3, 4), range(2, 10), (3, 4))
 
 
-def test_systematic_set_searched_once_per_ingredient(monkeypatch):
-    searched = []  # the codes themselves, so that no id is reused
-    real = constructions_mod.find_systematic_set
-    monkeypatch.setattr(constructions_mod, "find_systematic_set",
-                        lambda code: searched.append(code) or real(code))
-    clear_construction_caches()
-    table_build(*GRID_RULES, vertex_cap=0)
-    assert len(searched) >= 20
-    assert len({id(code) for code in searched}) == len(searched)
-
-
 def test_no_construction_of_distance_two_or_less_is_built(monkeypatch):
-    guarantees = []
+    guarantees = {"pseudo_product": [], "concatenate": []}
 
-    def counted(build):
+    def counted(name):
+        build = getattr(bounds_mod, name)
+
         def run(*args):
             result = build(*args)
-            guarantees.append(result.guaranteed_distance)
+            guarantees[name].append(result.guaranteed_distance)
             return result
         return run
 
-    monkeypatch.setattr(bounds_mod, "pseudo_product", counted(bounds_mod.pseudo_product))
-    monkeypatch.setattr(bounds_mod, "concatenate", counted(bounds_mod.concatenate))
+    for name in guarantees:
+        monkeypatch.setattr(bounds_mod, name, counted(name))
     clear_construction_caches()
     table_build(*GRID_RULES, vertex_cap=0)
-    assert len(guarantees) >= 100 and min(guarantees) > 2
+    # Each builds only the codes that no other code of its shape dominates.
+    assert {name: len(got) for name, got in guarantees.items()} == {
+        "pseudo_product": 27, "concatenate": 2}
+    assert min(guarantees["pseudo_product"] + guarantees["concatenate"]) > 2
+
+
+def reference_construction_candidates(m, n, w):
+    """(size, guarantee, provenance) of every pool pseudo-product and concatenation
+    of the shape, in the table's order, each built and checked against the size
+    and guarantee its ingredients give."""
+    out = []
+    pool = constructions_mod.systematic_cwc_pool(n, w)
+    for cwc in pool:
+        for sysc in constructions_mod.systematic_binary_pool(m):
+            k = (len(cwc.words).bit_length() - 1) * (len(sysc.words).bit_length() - 1)
+            if 0 < k and 1 << k <= constructions_mod.CONSTRUCTION_SIZE_CAP:
+                out.append((1 << k, cwc.claimed_distance * sysc.claimed_distance,
+                            constructions_mod.pseudo_product(cwc, sysc)))
+    for inner in pool:
+        q = max((x for x in range(2, len(inner.words) + 1) if prime_power(x) is not None),
+                default=None)
+        if q is None or m > q + 1:
+            continue
+        for d2 in range(1, m + 1):
+            if q ** (m - d2 + 1) <= constructions_mod.CONSTRUCTION_SIZE_CAP:
+                outer = constructions_mod.reed_solomon(field_for_order(q), m, d2)
+                out.append((q ** (m - d2 + 1), inner.claimed_distance * d2,
+                            constructions_mod.concatenate(outer, inner)))
+    for size, guarantee, result in out:
+        assert (result.size, result.guaranteed_distance) == (size, guarantee), result.provenance
+    return [(size, guarantee, result.provenance) for size, guarantee, result in out]
+
+
+def test_construction_candidates_keep_every_cells_best_code():
+    shapes = set(product(*GRID_RULES)) | set(product(range(1, 4), range(2, 9), range(1, 4)))
+    built = 0
+    for m, n, w in sorted(shapes):
+        full = reference_construction_candidates(m, n, w)
+        # The designs come first in the table's list and are always built.
+        kept = [c for c in bounds_mod._construction_candidates(m, n, w)
+                if c[2].startswith(("pseudo-product", "concatenation"))]
+        undominated = [
+            (size, g, prov) for i, (size, g, prov) in enumerate(full)
+            if g > 2 and not any(g2 >= g and (s2 > size or s2 == size and j < i)
+                                 for j, (s2, g2, _) in enumerate(full))
+        ]
+        assert kept == undominated
+        built += len(full)
+        for d in range(3, m * n + 1):
+            # max takes the first of equal sizes, as a table cell keeps the first of equal records.
+            best = [max(((size, prov) for size, g, prov in codes if g >= d),
+                        key=lambda c: c[0], default=None) for codes in (full, kept)]
+            assert best[0] == best[1], (m, n, w, d)
+    assert built > 200
 
 
 def test_construction_caches_do_not_leak_between_tables():

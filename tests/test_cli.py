@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 
 import mcwc
-from mcwc import cli
+from mcwc import cli, codes
 from mcwc.cli import main
 from mcwc.codes import TILE_BYTES, WeightProfile, code_read_path, verify_code
 from mcwc.pufsim import device_new, device_save
@@ -324,7 +324,7 @@ def test_puf_sim_device_round_trip(tmp_path, capsys):
 
 
 def test_legacy_device_file_loads(tmp_path, capsys):
-    # Files from older versions carry a noise_sigma entry, which the sweep never read.
+    # Files from older versions carry noise_sigma and seed entries, which the sweep never read.
     (tmp_path / "code.txt").write_text(INPUT_FILES["puf_code.txt"])
     sweep = ["puf-sim", "--code", str(tmp_path / "code.txt"), "--trials", "100", "--seed", "3"]
     device, legacy = tmp_path / "device.json", tmp_path / "legacy.json"
@@ -332,9 +332,9 @@ def test_legacy_device_file_loads(tmp_path, capsys):
                        capsys)
     assert status == 0
     payload = json.loads(device.read_text())
-    assert list(payload) == ["m", "n", "mu", "eps", "seed"]
+    assert list(payload) == ["m", "n", "mu", "eps"]
     # The key order that older versions wrote.
-    payload = {**payload, "noise_sigma": 0.001, "seed": payload["seed"]}
+    payload = {**payload, "noise_sigma": 0.001, "seed": 3}
     legacy.write_text(json.dumps(payload))
     for path in (device, legacy):
         status, _, _ = run(sweep + ["--load-device", str(path), "--out", str(tmp_path / f"{path.stem}.csv")],
@@ -628,22 +628,35 @@ def test_refused_sweep_saves_no_device(words, options, tmp_path, capsys):
 
 def test_verify_pair_cap(tmp_path, capsys, monkeypatch):
     # C(44721, 2) = 999,961,560 pairs pass the cap; C(44722, 2) do not.
-    cli.check_verify_pairs(44721)
-    with pytest.raises(cli.UsageError) as refused:
-        cli.check_verify_pairs(44722)
+    codes.check_verify_pairs(44721)
+    with pytest.raises(codes.CodeError) as refused:
+        codes.check_verify_pairs(44722)
     for part in ("1000006281 pairs", "cap of 1000000000"):
         assert part in str(refused.value)
 
     # Three words give three pairs.
     path = tmp_path / "qary.txt"
     path.write_text(INPUT_FILES["qary.txt"])
-    monkeypatch.setattr(cli, "MAX_VERIFY_PAIRS", 3)
+    monkeypatch.setattr(codes, "MAX_VERIFY_PAIRS", 3)
     status, out, _ = run(["verify", str(path)], capsys)
     assert status == 0 and json.loads(out)["passed"] is True
-    monkeypatch.setattr(cli, "MAX_VERIFY_PAIRS", 2)
+    monkeypatch.setattr(codes, "MAX_VERIFY_PAIRS", 2)
     status, out, err = run(["verify", str(path)], capsys)
     assert status == 2 and out == ""
-    assert err == "error: UsageError: 3 words give 3 pairs to verify, over the cap of 2\n"
+    assert err == "error: CodeError: 3 words give 3 pairs to verify, over the cap of 2\n"
+
+
+def test_construct_past_the_pair_cap_writes_nothing(tmp_path, capsys, monkeypatch):
+    # The complement of rep-3 has two words, one pair.
+    out = tmp_path / "c.txt"
+    argv = ["construct", "complement", "--code", "builtin:rep-3", "--out", str(out)]
+    monkeypatch.setattr(codes, "MAX_VERIFY_PAIRS", 0)
+    status, _, err = run(argv, capsys)
+    assert status == 2 and not out.exists()
+    assert err == "error: CodeError: 2 words give 1 pairs to verify, over the cap of 0\n"
+    monkeypatch.setattr(codes, "MAX_VERIFY_PAIRS", 1)
+    status, _, _ = run(argv, capsys)
+    assert status == 0 and out.exists()
 
 
 def test_rs_at_symbol_cap_peaks_under_100_mb(tmp_path):
@@ -772,6 +785,11 @@ PINNED_OUTPUTS = {
     "table": (
         ["table", "--m", "1..2", "--n", "2..6", "--w", "1..3"],
         "d1418c9c926a0987458438f11e50c46d553c62277aa3715e4a5d19d6daa6d570",
+    ),
+    # the rules-only grid, in which every construction record is read
+    "table-rules": (
+        ["table", "--m", "1..4", "--n", "2..9", "--w", "3,4", "--vertex-cap", "0"],
+        "7f2a1c76fe2afcf89d78babf49c922e87cbae4668c9466245a203e148bb9d0b9",
     ),
 }
 
